@@ -1,10 +1,12 @@
 """Batched tensor engine vs the serial restart loop (Fig. 7 sizes).
 
-Times ``EMDriver.fit`` with ``restart_mode="serial"`` against
-``restart_mode="batched"`` on Fig. 7-sized problems (n = 20..50, m = 50
-via the estimator defaults) at R ∈ {8, 16} random restarts — same
-seeds, interleaved runs, best-of-N wall clock — and writes the timings
-to ``BENCH_batched.json`` (path overridable via ``REPRO_BENCH_OUT``).
+Times the scalar reference loop (``EMDriver.fit`` over a
+``DenseBackend``, one EM run per restart) against
+``EMExtEstimator.fit``, whose restarts run as the lanes of one tensor
+pass, on Fig. 7-sized problems (n = 20..50, m = 50 via the estimator
+defaults) at R ∈ {8, 16} random restarts — same seeds, interleaved
+runs, best-of-N wall clock — and writes the timings to
+``BENCH_batched.json`` (path overridable via ``REPRO_BENCH_OUT``).
 
 Parity is asserted unconditionally and bitwise: every row's batched fit
 must reproduce the serial scores, parameters, log-likelihood, trace and
@@ -25,12 +27,6 @@ aggregates must clear the absolute floor in
 ``benchmarks/batched_baseline.json`` (3× — the batched engine's
 acceptance target) and every row must stay within ``REGRESSION_FACTOR``
 (1.5×) of its committed baseline figure.
-
-A harness row (``run_simulation`` with ``trial_mode="batched"``) and —
-on multi-core machines only — a lanes-×-workers row
-(``restart_mode="batched"`` under a two-worker pool) demonstrate that
-the lane speedup survives composition; both are reported, not gated,
-because the pool rows measure fork overhead on single-core runners.
 """
 
 import json
@@ -42,9 +38,9 @@ import numpy as np
 import pytest
 
 from repro import observability
-from repro.core.em_ext import EMConfig, EMExtEstimator
-from repro.eval import execution_info, machine_info, run_simulation
-from repro.parallel import ParallelConfig
+from repro.core.em_ext import EMConfig, EMExtEstimator, _estimation_result
+from repro.engine import DenseBackend, EMDriver
+from repro.eval import execution_info, machine_info
 from repro.synthetic import GeneratorConfig, generate_dataset
 
 pytestmark = pytest.mark.slow
@@ -81,28 +77,22 @@ def _problem(n_sources):
     return generate_dataset(config, seed=SEED + n_sources).problem.without_truth()
 
 
-def _fit(problem, n_restarts, restart_mode, parallel=None):
-    config = EMConfig(
-        n_restarts=n_restarts,
-        init_strategy="random",
-        restart_mode=restart_mode,
-    )
-    estimator = EMExtEstimator(config, seed=SEED)
-    if parallel is not None:
-        # The estimator API has no parallel knob; go through the driver
-        # exactly as EMExtEstimator.fit does, with a ParallelConfig.
-        from repro.data.coerce import coerce_problem
-        from repro.data.protocol import FORMAT_DENSE
-        from repro.engine.backends import make_backend
-        from repro.engine.driver import EMDriver
+def _config(n_restarts):
+    return EMConfig(n_restarts=n_restarts, init_strategy="random")
 
-        dense = coerce_problem(problem, needs=(FORMAT_DENSE,))
-        backend = make_backend(
-            dense, smoothing=config.smoothing, epsilon=config.epsilon
-        )
-        driver = EMDriver.from_config(config, parallel=parallel)
-        return driver.fit(backend, estimator._initialiser(backend), SEED)
-    return estimator.fit(problem)
+
+def _serial_fit(problem, n_restarts):
+    """The scalar reference: one ``EMDriver.run`` per restart, in turn."""
+    config = _config(n_restarts)
+    backend = DenseBackend(problem, smoothing=config.smoothing, epsilon=config.epsilon)
+    estimator = EMExtEstimator(config, seed=SEED)
+    driver = EMDriver.from_config(config)
+    return _estimation_result(driver.fit(backend, estimator._initialiser(backend), SEED))
+
+
+def _fit(problem, n_restarts):
+    """A dense fit: its restarts run as lanes of one tensor pass."""
+    return EMExtEstimator(_config(n_restarts), seed=SEED).fit(problem)
 
 
 def _assert_bitwise(serial, batched, label):
@@ -122,7 +112,7 @@ def _assert_bitwise(serial, batched, label):
 def _occupancy(problem, n_restarts):
     """One untimed batched fit under a session, for the occupancy block."""
     with observability.observe(root_name="bench.batched.occupancy") as session:
-        _fit(problem, n_restarts, "batched")
+        _fit(problem, n_restarts)
     return session.metrics.snapshot()
 
 
@@ -143,8 +133,8 @@ def _bench_restart_rows(rows):
         for n in FIT_SIZES:
             problem = _problem(n)
             serial_s, batched_s, serial, batched = _time_pair(
-                lambda: _fit(problem, n_restarts, "serial"),
-                lambda: _fit(problem, n_restarts, "batched"),
+                lambda: _serial_fit(problem, n_restarts),
+                lambda: _fit(problem, n_restarts),
                 reps=REPS,
             )
             label = f"fit_n{n}_m50_r{n_restarts}"
@@ -169,61 +159,6 @@ def _bench_restart_rows(rows):
         }
 
 
-def _series_dict(result):
-    return {
-        name: tuple(series.accuracy) for name, series in result.series.items()
-    }
-
-
-def _bench_harness_row(rows):
-    """run_simulation trial packs: serial vs ``trial_mode="batched"``."""
-    config = GeneratorConfig.estimator_defaults(n_sources=20)
-    kwargs = dict(
-        algorithms=("em-ext",),
-        n_trials=16,
-        seed=SEED,
-        include_optimal=False,
-        em_config=EMConfig(init_strategy="random"),
-    )
-    serial_s, batched_s, serial, batched = _time_pair(
-        lambda: run_simulation(config, **kwargs),
-        lambda: run_simulation(config, trial_mode="batched", **kwargs),
-        reps=REPS,
-    )
-    assert _series_dict(serial) == _series_dict(batched), "harness series"
-    rows["harness_trials_n20_t16"] = _row(
-        serial_s,
-        batched_s,
-        "bit-identical series",
-        execution_info(batch_size=16),
-    )
-
-
-def _bench_parallel_row(rows):
-    """Lane batching × process fan-out (multi-core machines only)."""
-    n, n_restarts = 20, 16
-    problem = _problem(n)
-    serial_s, combined_s, serial, combined = _time_pair(
-        lambda: _fit(problem, n_restarts, "serial"),
-        lambda: _fit(problem, n_restarts, "batched", ParallelConfig(n_jobs=2)),
-        reps=REPS,
-    )
-    serial_result = serial
-    # Driver outcomes lack the EstimationResult wrapper; compare fields.
-    assert np.array_equal(serial_result.scores, combined.posterior), (
-        "parallel+batched: posterior"
-    )
-    assert serial_result.log_likelihood == combined.log_likelihood, (
-        "parallel+batched: ll"
-    )
-    rows[f"fit_n{n}_m50_r{n_restarts}_jobs2"] = _row(
-        serial_s,
-        combined_s,
-        "bitwise (lanes split into per-worker packs)",
-        execution_info(n_jobs=2, batch_size=n_restarts // 2),
-    )
-
-
 def _enforce_baseline(rows):
     with open(_BASELINE_PATH) as handle:
         baseline = json.load(handle)
@@ -237,8 +172,6 @@ def _enforce_baseline(rows):
                 f"{name}: aggregate {measured}x below the {floor}x acceptance floor"
             )
     for name, expected in baseline["speedups"].items():
-        if name not in rows:
-            continue  # the parallel row is machine-dependent
         measured = rows[name]["speedup"]
         if measured * REGRESSION_FACTOR < expected:
             failures.append(
@@ -251,9 +184,6 @@ def _enforce_baseline(rows):
 def test_batched_scaling_writes_bench_json():
     rows = {}
     _bench_restart_rows(rows)
-    _bench_harness_row(rows)
-    if (os.cpu_count() or 1) >= 2:
-        _bench_parallel_row(rows)
 
     report = {
         "experiment": "batched lane engine vs serial restart loop",

@@ -123,14 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--smoothing", type=float, default=0.0)
     estimate.add_argument(
         "--restarts", type=int, default=1, metavar="R",
-        help="em-ext: random restarts; the best fixed point by "
-             "log-likelihood wins (default 1, the paper's single run)",
-    )
-    estimate.add_argument(
-        "--batch", action="store_true",
-        help="em-ext: run the restarts as stacked lanes of one batched "
-             "tensor pass (bit-for-bit identical results, several times "
-             "faster once --restarts reaches ~8)",
+        help="em-ext: random restarts, run as stacked lanes of one "
+             "tensor pass; the best fixed point by log-likelihood wins "
+             "(default 1, the paper's single run)",
     )
     estimate.add_argument("--top", type=int, default=10,
                           help="print this many top-ranked assertions")
@@ -181,12 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fan the experiment's trials (figs 7-10) or Gibbs chains "
              "(figs 3-5) out across N worker processes (-1: all cores); "
              "results are identical for any N",
-    )
-    experiment.add_argument(
-        "--batch", action="store_true",
-        help="figs 7-10: fit each trial's em-ext as stacked batched "
-             "lanes in the parent (bit-for-bit identical results; "
-             "incompatible with --n-jobs)",
     )
     _add_observability_flags(experiment)
 
@@ -309,26 +298,15 @@ def _cmd_estimate(args) -> int:
         finder = make_fact_finder(
             name,
             seed=args.seed,
-            config=EMConfig(
-                smoothing=args.smoothing,
-                n_restarts=args.restarts,
-                restart_mode="batched" if args.batch else "serial",
-            ),
+            config=EMConfig(smoothing=args.smoothing, n_restarts=args.restarts),
         )
-    elif name in ("em", "em-social"):
-        if args.batch or args.restarts != 1:
-            print(
-                "note: --batch/--restarts apply to em-ext only; ignored",
-                file=sys.stderr,
-            )
-        finder = make_fact_finder(name, seed=args.seed, smoothing=args.smoothing)
     else:
-        if args.batch or args.restarts != 1:
-            print(
-                "note: --batch/--restarts apply to em-ext only; ignored",
-                file=sys.stderr,
-            )
-        finder = make_fact_finder(name)
+        if args.restarts != 1:
+            print("note: --restarts applies to em-ext only; ignored", file=sys.stderr)
+        if name in ("em", "em-social"):
+            finder = make_fact_finder(name, seed=args.seed, smoothing=args.smoothing)
+        else:
+            finder = make_fact_finder(name)
     result = finder.fit(problem)
     print(f"algorithm: {result.algorithm}")
     print(f"assertions judged true: {int(result.decisions.sum())} / {result.n_assertions}")
@@ -461,10 +439,7 @@ def _cmd_experiment(args) -> int:
             "fig9": figure9_estimator_vs_trees,
             "fig10": figure10_estimator_vs_odds,
         }[name]
-        kwargs = dict(parallel_kwargs)
-        if args.batch:
-            kwargs["trial_mode"] = "batched"
-        sweep = runner(**kwargs)
+        sweep = runner(**parallel_kwargs)
         print("accuracy:\n" + format_sweep(sweep, "accuracy"))
         print("\nfalse positive rate:\n" + format_sweep(sweep, "false_positive_rate"))
     else:  # fig11

@@ -13,11 +13,14 @@ assertion from the source-claim matrix ``SC`` and dependency indicators
   independent) and reweight by the posteriors.
 
 The numerical work lives in the shared estimation engine
-(:mod:`repro.engine`): this class wires the
-:class:`~repro.engine.backends.DenseBackend` into the generic
-:class:`~repro.engine.driver.EMDriver` and the shared initialisation
-strategies.  The sparse and streaming estimators reuse exactly the
-same kernels through other backends.
+(:mod:`repro.engine`).  A dense fit is a one-problem lane pack: its
+restarts run as the lanes of one
+:class:`~repro.engine.batched.BatchedDenseBackend` program, the same
+engine that batches many problems in :func:`fit_em_ext_batch` and in
+the serving layer.  CSR input (when no random draws force
+densification) runs the scalar :class:`~repro.engine.driver.EMDriver`
+loop on the sparse backend.  The sparse and streaming estimators reuse
+exactly the same kernels through other backends.
 
 Practical extensions beyond the pseudocode (all standard EM hygiene,
 documented in DESIGN.md §5.5):
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,13 +48,14 @@ from repro.core.result import EstimationResult
 from repro.data.coerce import coerce_problem
 from repro.data.protocol import FORMAT_CSR, FORMAT_DENSE, Problem
 from repro.engine.backends import CSRBackend, DenseBackend, make_backend
-from repro.engine.driver import EMDriver, IterationCallback
+from repro.engine.driver import DriverOutcome, EMDriver, IterationCallback
 from repro.engine.initialisation import staged_initialisation, support_initialisation
-from repro.utils.errors import ValidationError
+from repro.utils.errors import DeadlineExceeded, ValidationError
 from repro.utils.rng import RandomState, SeedLike
 from repro.utils.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.batched import BatchedLaneResult
     from repro.resilience.supervisor import Deadline
 
 
@@ -107,19 +111,12 @@ class EMConfig:
     max_wall_seconds:
         Optional wall-clock budget for the whole multi-restart fit; the
         driver stops after the first iteration past the budget instead
-        of running to ``max_iterations``.  ``None`` (default) disables
-        the budget.
-    restart_mode:
-        How multi-restart candidates are executed:
+        of running to ``max_iterations``.  The clock starts before the
+        first initialiser runs, so staged initialisation counts against
+        it.  ``None`` (default) disables the budget.
 
-        * ``"serial"`` (default) — one full EM run per restart, in
-          sequence; the historical reference path.
-        * ``"batched"`` — stack all restarts of a dense problem into
-          the lanes of one :class:`~repro.engine.batched.BatchedDenseBackend`
-          tensor program and run them in lock-step, retiring converged
-          lanes as they finish.  Bit-for-bit the same selected fixed
-          point, several times faster at Fig. 7 sizes once ``n_restarts``
-          reaches ~8.  Non-dense backends fall back to serial.
+    Restarts of a dense fit run as stacked lanes of one tensor program,
+    bit-for-bit the scalar loop's results.
     """
 
     max_iterations: int = 200
@@ -130,7 +127,6 @@ class EMConfig:
     init_strategy: str = "staged"
     strict: bool = False
     max_wall_seconds: Optional[float] = None
-    restart_mode: str = "serial"
 
     def __post_init__(self) -> None:
         check_positive_int(self.max_iterations, "max_iterations")
@@ -149,11 +145,6 @@ class EMConfig:
         if self.max_wall_seconds is not None and not self.max_wall_seconds > 0:
             raise ValidationError(
                 f"max_wall_seconds must be positive, got {self.max_wall_seconds}"
-            )
-        if self.restart_mode not in ("serial", "batched"):
-            raise ValidationError(
-                f"restart_mode must be 'serial' or 'batched', got "
-                f"{self.restart_mode!r}"
             )
 
 
@@ -191,12 +182,18 @@ class EMExtEstimator:
     def fit(self, problem: Problem) -> EstimationResult:
         """Run EM on ``problem`` (dense or CSR) and return the richest result.
 
-        Dense problems run on the dense backend, CSR problems on the
-        sparse backend — same update equations, same fixed points.  The
-        one capability gap is random initialisation (random restarts or
+        Dense problems run as a one-problem lane pack (restarts are the
+        lanes), CSR problems on the sparse backend's scalar loop — same
+        update equations, same fixed points.  The one capability gap is
+        random initialisation (random restarts or
         ``init_strategy="random"`` without explicit starting
         parameters), which only the dense backend supports; CSR input
         is then densified under the memory budget.
+
+        Callbacks receive the dense fit's :class:`IterationEvent` stream
+        after the lanes finish, in restart order, so an early-stop
+        request cannot reach them; each event's ``duration_seconds`` is
+        the shared pass's wall time.
         """
         # Usage errors surface here, eagerly; inside the restart loop the
         # driver would treat them as per-restart runtime faults.
@@ -218,23 +215,22 @@ class EMExtEstimator:
             else (FORMAT_DENSE, FORMAT_CSR)
         )
         problem = coerce_problem(problem, needs=needs)
+        if problem.format == FORMAT_DENSE:
+            return fit_em_ext_batch(
+                [problem],
+                seeds=[self._seed],
+                config=self.config,
+                initial_parameters=[self.initial_parameters],
+                callbacks=self.callbacks,
+            )[0]
         backend = make_backend(
             problem,
             smoothing=self.config.smoothing,
             epsilon=self.config.epsilon,
         )
         driver = EMDriver.from_config(self.config, callbacks=self.callbacks)
-        outcome = driver.fit(backend, self._initialiser(backend), self._seed)
-        return EstimationResult(
-            algorithm=self.algorithm_name,
-            scores=outcome.posterior,
-            decisions=outcome.decisions,
-            parameters=outcome.parameters,
-            log_likelihood=outcome.log_likelihood,
-            converged=outcome.converged,
-            n_iterations=outcome.n_iterations,
-            trace=outcome.trace,
-            health=outcome.health,
+        return _estimation_result(
+            driver.fit(backend, self._initialiser(backend), self._seed)
         )
 
     # -- internals ---------------------------------------------------------------
@@ -243,31 +239,54 @@ class EMExtEstimator:
         """Restart ``index`` → starting parameters (driver protocol)."""
 
         def _init(index: int, rng: np.random.Generator) -> SourceParameters:
-            strategy = self.config.init_strategy
-            if index > 0 or self.initial_parameters is not None:
-                return self._initial_parameters(backend, rng)
-            if strategy == "staged":
+            if self.initial_parameters is not None:
+                return self.initial_parameters.clamp(self.config.epsilon)
+            if index == 0 and self.config.init_strategy == "staged":
                 return staged_initialisation(
                     backend, tolerance=self.config.tolerance
                 )
-            if strategy == "support":
+            if index == 0 and self.config.init_strategy == "support":
                 return support_initialisation(backend)
-            return self._initial_parameters(backend, rng)
+            return backend.random_params(rng)
 
         return _init
 
-    def _initial_parameters(
-        self, backend: "Union[DenseBackend, CSRBackend]", rng: np.random.Generator
-    ) -> SourceParameters:
-        if self.initial_parameters is not None:
-            if self.initial_parameters.n_sources != backend.n_sources:
-                raise ValidationError(
-                    "initial_parameters describe "
-                    f"{self.initial_parameters.n_sources} sources but the "
-                    f"problem has {backend.n_sources}"
-                )
-            return self.initial_parameters.clamp(self.config.epsilon)
-        return backend.random_params(rng)
+
+def _estimation_result(outcome: DriverOutcome) -> EstimationResult:
+    """The public result of one selected driver outcome."""
+    return EstimationResult(
+        algorithm=EMExtEstimator.algorithm_name,
+        scores=outcome.posterior,
+        decisions=outcome.decisions,
+        parameters=outcome.parameters,
+        log_likelihood=outcome.log_likelihood,
+        converged=outcome.converged,
+        n_iterations=outcome.n_iterations,
+        trace=outcome.trace,
+        health=outcome.health,
+    )
+
+
+def _lane_candidates(
+    lanes: Iterator[BatchedLaneResult],
+    indices: Sequence[int],
+    init_errors: dict,
+    n_restarts: int,
+    events: list,
+) -> Iterator[Tuple[int, Optional[DriverOutcome], Optional[str]]]:
+    """One problem's ``(index, outcome, error)`` triples, in restart order.
+
+    Takes the problem's lanes from the shared ``lanes`` stream on the
+    first ``next`` and appends their telemetry to ``events``.
+    """
+    by_index = {index: next(lanes) for index in indices}
+    for index in range(n_restarts):
+        if index in init_errors:
+            yield index, None, init_errors[index]
+            continue
+        lane = by_index[index]
+        events.extend(lane.events)
+        yield index, lane.outcome, lane.error
 
 
 def _batch_lane_outcomes(
@@ -281,34 +300,28 @@ def _batch_lane_outcomes(
 ) -> List[Tuple[Optional[EstimationResult], list, Optional[Exception]]]:
     """One ``(result, events, error)`` triple per problem, lane-batched.
 
-    The shared machinery behind :func:`fit_em_ext_batch` and the
-    harness's ``trial_mode="batched"``: every problem's restarts become
-    lanes of one stacked tensor pass
-    (:class:`~repro.engine.batched.BatchedDenseBackend`), and each
-    problem's lanes are then fed through the driver's selection path
-    (:meth:`~repro.engine.driver.EMDriver.consume_candidates`) — so the
-    per-problem results are bit-for-bit what the scalar
-    :meth:`EMExtEstimator.fit` would return with the same seed.  A
-    problem whose setup or selection raises carries the exception in
-    its own triple instead of poisoning the batch (the caller decides
-    whether to re-raise or eject the lane to the scalar path).
+    The dense EM-Ext engine behind :meth:`EMExtEstimator.fit` (a
+    one-problem pack), :func:`fit_em_ext_batch` and the serving layer.
+    Every problem's restarts become lanes of one stacked tensor pass
+    (:class:`~repro.engine.batched.BatchedDenseBackend`); each
+    problem's lanes then go through
+    :meth:`~repro.engine.driver.EMDriver.consume_candidates`, so each
+    result is bit-for-bit what the scalar ``EMDriver.fit`` loop returns
+    with the same seed.  A problem whose setup or selection raises
+    carries the exception in its own triple; a
+    :class:`~repro.utils.errors.DeadlineExceeded` from ``budget``
+    propagates.  A one-problem pack runs its lanes inside that
+    problem's ``em.fit`` span, as a scalar fit runs its ``em.run``.
 
-    ``events`` holds the problem's per-iteration telemetry in restart
-    order (empty unless ``collect_events``); per-event numbers match
-    the scalar run except ``duration_seconds``, which is the shared
-    batched pass's wall time.  ``config.max_wall_seconds``, when set,
-    budgets the *whole* batch — lanes share each pass's wall clock, so
-    a per-problem budget is not separable (timing budgets were never
-    bitwise-reproducible anyway).
-
-    ``initial_parameters``, when given, supplies one optional warm
-    start per problem: entry ``t`` plays the role of
-    ``EMExtEstimator(..., initial_parameters=initial_parameters[t])``
-    in the parity contract (``None`` entries keep the config's init
-    strategy).  ``budget``, when given, is a cooperative
+    ``events`` holds the problem's telemetry in restart order (empty
+    unless ``collect_events``), bitwise the scalar run's except
+    ``duration_seconds``, the shared pass's wall time.
+    ``config.max_wall_seconds`` budgets the whole batch from before the
+    first initialiser runs.  ``initial_parameters`` supplies one
+    optional warm start per problem (the estimator's
+    ``initial_parameters``); ``budget`` is a cooperative
     :class:`~repro.resilience.supervisor.Deadline` checked between
-    batched passes — the serving layer's per-drain admission budget,
-    on top of (not instead of) ``max_wall_seconds``.
+    passes — the serving layer's drain budget.
     """
     from repro.engine.batched import BatchedDenseBackend, run_batched_lanes
 
@@ -321,6 +334,11 @@ def _batch_lane_outcomes(
             f"{len(problems)} problems but {len(initial_parameters)} "
             "initial parameter sets"
         )
+    deadline = (
+        time.perf_counter() + config.max_wall_seconds
+        if config.max_wall_seconds is not None
+        else None
+    )
     driver = EMDriver.from_config(config)
     lane_backends: List[DenseBackend] = []
     lane_params: List[SourceParameters] = []
@@ -361,65 +379,41 @@ def _batch_lane_outcomes(
         for _, params in prepared:
             lane_backends.append(backend)
             lane_params.append(params)
-    deadline = (
-        time.perf_counter() + config.max_wall_seconds
-        if config.max_wall_seconds is not None
-        else None
-    )
-    lanes = (
-        run_batched_lanes(
-            BatchedDenseBackend.from_backends(lane_backends),
-            lane_params,
-            max_iterations=config.max_iterations,
-            tolerance=config.tolerance,
-            deadline=deadline,
-            budget=budget,
-            collect_events=collect_events,
-        )
-        if lane_params
-        else []
-    )
+
+    def run_lanes() -> Iterator[BatchedLaneResult]:
+        if lane_params:
+            yield from run_batched_lanes(
+                BatchedDenseBackend.from_backends(lane_backends),
+                lane_params,
+                max_iterations=config.max_iterations,
+                tolerance=config.tolerance,
+                deadline=deadline,
+                budget=budget,
+                collect_events=collect_events,
+            )
+
+    lanes = run_lanes()
+    if len(problems) > 1:
+        # A shared pass belongs to no single problem's em.fit span.
+        lanes = iter(list(lanes))
     outcomes: List[Tuple[Optional[EstimationResult], list, Optional[Exception]]] = []
-    cursor = 0
     for indices, init_errors, setup_error in staged:
         if setup_error is not None:
             outcomes.append((None, [], setup_error))
             continue
-        lane_by_index = {}
-        for index in indices:
-            lane_by_index[index] = lanes[cursor]
-            cursor += 1
         events: list = []
-        triples = []
-        for index in range(config.n_restarts):
-            if index in init_errors:
-                triples.append((index, None, init_errors[index]))
-                continue
-            lane = lane_by_index[index]
-            events.extend(lane.events)
-            triples.append((index, lane.outcome, lane.error))
         try:
-            outcome = driver.consume_candidates(iter(triples))
+            outcome = driver.consume_candidates(
+                _lane_candidates(
+                    lanes, indices, init_errors, config.n_restarts, events
+                )
+            )
+        except DeadlineExceeded:
+            raise
         except Exception as error:
             outcomes.append((None, events, error))
             continue
-        outcomes.append(
-            (
-                EstimationResult(
-                    algorithm=EMExtEstimator.algorithm_name,
-                    scores=outcome.posterior,
-                    decisions=outcome.decisions,
-                    parameters=outcome.parameters,
-                    log_likelihood=outcome.log_likelihood,
-                    converged=outcome.converged,
-                    n_iterations=outcome.n_iterations,
-                    trace=outcome.trace,
-                    health=outcome.health,
-                ),
-                events,
-                None,
-            )
-        )
+        outcomes.append((_estimation_result(outcome), events, None))
     return outcomes
 
 
@@ -452,7 +446,7 @@ def fit_em_ext_batch(
     after the batch completes, in problem-then-restart order; the
     events carry the scalar run's deltas and log-likelihoods but the
     shared pass's wall time, and an early-stop request cannot reach an
-    already-finished lane (as on the driver's parallel path).
+    already-finished lane.
     """
     config = config or EMConfig()
     outcomes = _batch_lane_outcomes(

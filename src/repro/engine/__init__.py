@@ -20,17 +20,17 @@ package is the single implementation they all delegate to:
   restarts, tolerance/max-iteration convergence,
   :class:`~repro.core.model.ParameterTrace` recording and
   per-iteration telemetry callbacks (:class:`IterationEvent`,
-  :class:`TelemetryRecorder`).
+  :class:`TelemetryRecorder`);
+* :mod:`repro.engine.batched` — the lane engine
+  (:class:`BatchedDenseBackend`, :func:`run_batched_lanes`): B
+  same-shape dense EM runs as one stacked ``(B, n, m)`` pass.
 
-Every future performance PR (batched multi-problem fitting, numba or
-multiprocessing backends) lands here, behind the same backend
-protocol, and all four public estimators pick it up for free.  The
-first such layer is process-based restart fan-out: hand
-:class:`~repro.parallel.ParallelConfig` to :class:`EMDriver` (or
-``EMDriver.from_config(..., parallel=...)``) and independent restarts
-run across worker processes with bit-for-bit serial parity (the
-initialisers consume the spawned restart generators in the parent, in
-serial order).
+There is one dense EM-Ext engine: every dense fit — a single
+:class:`~repro.core.em_ext.EMExtEstimator` fit, a
+:func:`~repro.core.em_ext.fit_em_ext_batch` call, a serving drain —
+runs its restarts as lanes, bit-for-bit the scalar :class:`EMDriver`
+loop.  The scalar loop drives the CSR, masked and pooled backends and
+is the reference the lanes are tested against.
 """
 
 from repro.engine.backends import (
@@ -69,7 +69,6 @@ from repro.engine.statistics import (
     ratio_update,
     stable_posterior,
 )
-from repro.parallel.config import ParallelConfig
 
 __all__ = [
     "BatchedDenseBackend",
@@ -82,7 +81,6 @@ __all__ = [
     "FAILED_STATUSES",
     "IterationEvent",
     "MaskedDenseBackend",
-    "ParallelConfig",
     "RATE_NAMES",
     "RESTART_STATUSES",
     "RestartReport",

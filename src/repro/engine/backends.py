@@ -79,7 +79,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.baselines.em_independent import IndependentParameters
     from repro.data.csr import CsrProblem
     from repro.data.protocol import Problem
-    from repro.engine.batched import BatchedDenseBackend
 
 
 def _check_rates_finite(
@@ -304,19 +303,6 @@ class DenseBackend:
             posterior_from_log_likelihoods(log_true, log_false, params.z),
             log_likelihood_from_log_columns(log_true, log_false, params.z),
         )
-
-    def batched_lanes(self, n_lanes: int) -> "BatchedDenseBackend":
-        """A batched twin running ``n_lanes`` restarts of *this* problem.
-
-        The lanes share this backend's claim/dependency matrices as
-        broadcast ``(1, n, m)`` views (no copies); see
-        :class:`repro.engine.batched.BatchedDenseBackend`.  The presence
-        of this method is the driver's capability probe for
-        ``restart_mode="batched"``.
-        """
-        from repro.engine.batched import BatchedDenseBackend
-
-        return BatchedDenseBackend.from_backend(self, n_lanes)
 
     def partition_counts(
         self, posterior: np.ndarray

@@ -10,10 +10,13 @@ amortising the per-call NumPy dispatch across the whole batch.
 
 Lane model
 ----------
-A *lane* is one serial EM run: either one restart of a shared problem
-(:meth:`BatchedDenseBackend.from_backend` keeps the data as broadcast
-``(1, n, m)`` views — no copies) or one trial's distinct problem
-(:meth:`BatchedDenseBackend.from_backends` stacks same-shape problems).
+A *lane* is one serial EM run: one restart of one problem.
+:meth:`BatchedDenseBackend.from_backends` takes one scalar backend per
+lane; when every lane shares one backend (the restarts of a single
+fit) the data stays a broadcast ``(1, n, m)`` view — no copies —
+otherwise the same-shape problems are stacked.  A dense
+:meth:`~repro.core.em_ext.EMExtEstimator.fit` is a one-problem pack,
+so a single-restart fit is a one-lane batch.
 Lanes never interact: every batched kernel reduces along the source
 axis or multiplies ``(·, n, m) @ (B, m, 1)`` stacked mat-vecs, both of
 which NumPy evaluates lane-wise with exactly the serial kernel's
@@ -57,9 +60,11 @@ lanes along.  Faulted lanes (NaN-poisoned M-steps) retire with the
 exact error string the serial loop would have raised, so the driver's
 health ledger cannot tell the modes apart.
 
-Observability (PR 8 transparency guarantee applies: everything below
+Observability (the transparency guarantee applies: everything below
 is a no-op when no session is active and changes no numerics):
 
+* ``em.run`` — one span per lane pack, carrying ``n_lanes`` (the same
+  span name as the scalar loop's);
 * ``engine.batched.lanes`` — lanes launched;
 * ``engine.batched.lane_retirements`` — lanes retired before the
   iteration cap;
@@ -71,10 +76,10 @@ is a no-op when no session is active and changes no numerics):
 Timing caveat: per-iteration ``IterationEvent.duration_seconds`` is the
 duration of the *shared* batched pass (all active lanes), not a
 per-lane cost — numeric fields are bitwise-serial, durations are not.
-Events are built only when ``collect_events`` is set (the driver
-requests them when telemetry callbacks are attached); traces are
-always recorded.  Early-stop requests from callbacks are ignored, as
-in the parallel restart path: events are replayed after the fact.
+Events are built only when ``collect_events`` is set (requested when
+telemetry callbacks are attached); traces are
+always recorded.  Early-stop requests from callbacks are ignored:
+events are replayed after the fact.
 """
 
 from __future__ import annotations
@@ -303,11 +308,9 @@ def _batched_posterior_and_ll(
 class BatchedDenseBackend:
     """Dense backend running B same-shape lanes per kernel call.
 
-    Build via :meth:`from_backend` (B restarts of one problem, data
-    shared as broadcast ``(1, n, m)`` views) or :meth:`from_backends`
-    (B distinct same-shape problems, data stacked).  The EM-step API
-    mirrors :class:`~repro.engine.backends.DenseBackend` with a lane
-    axis prepended; :meth:`compact` drops retired lanes.
+    Build via :meth:`from_backends` (one scalar backend per lane).  The
+    EM-step API mirrors :class:`~repro.engine.backends.DenseBackend`
+    with a lane axis prepended; :meth:`compact` drops retired lanes.
     """
 
     def __init__(
@@ -350,23 +353,15 @@ class BatchedDenseBackend:
         )
 
     @classmethod
-    def from_backend(
-        cls, backend: "DenseBackend", n_lanes: int
-    ) -> "BatchedDenseBackend":
-        """``n_lanes`` restart lanes over ``backend``'s problem (no copies)."""
-        return cls(
-            backend.sc[None],
-            backend.dep[None],
-            n_lanes=n_lanes,
-            smoothing=backend.smoothing,
-            epsilon=backend.epsilon,
-        )
-
-    @classmethod
     def from_backends(
         cls, backends: Sequence["DenseBackend"]
     ) -> "BatchedDenseBackend":
-        """One lane per same-shape scalar backend (trial packs)."""
+        """One lane per same-shape scalar backend.
+
+        When every lane shares one backend object (the restarts of one
+        fit) the lanes view its data as broadcast ``(1, n, m)`` stacks
+        instead of copying it once per lane.
+        """
         if not backends:
             raise ValidationError("cannot batch an empty backend sequence")
         shapes = {b.sc.shape for b in backends}
@@ -379,9 +374,15 @@ class BatchedDenseBackend:
             raise ValidationError(
                 "cannot batch backends with different smoothing/epsilon settings"
             )
+        first = backends[0]
+        if all(b is first for b in backends):
+            sc, dep = first.sc[None], first.dep[None]
+        else:
+            sc = np.stack([b.sc for b in backends])
+            dep = np.stack([b.dep for b in backends])
         return cls(
-            np.stack([b.sc for b in backends]),
-            np.stack([b.dep for b in backends]),
+            sc,
+            dep,
             n_lanes=len(backends),
             smoothing=backends[0].smoothing,
             epsilon=backends[0].epsilon,
@@ -394,11 +395,6 @@ class BatchedDenseBackend:
     @property
     def n_assertions(self) -> int:
         return self.sc.shape[2]
-
-    @property
-    def shared_problem(self) -> bool:
-        """All lanes view one problem (restart mode)."""
-        return self.sc.shape[0] == 1 and self.n_lanes != 1
 
     def _lane_data(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
         """Lane ``index``'s ``(sc, dep)`` float matrices."""
@@ -632,7 +628,7 @@ def run_batched_lanes(
         )
 
     with observability.span(
-        "engine.batched.run", n_lanes=n_lanes, max_iterations=max_iterations
+        "em.run", n_lanes=n_lanes, max_iterations=max_iterations
     ):
         posterior = backend.posterior(params)
         for iteration in range(max_iterations):
@@ -647,19 +643,16 @@ def run_batched_lanes(
                 # Serial parity: the faulted lane raised inside m_step,
                 # before this iteration's trace record — it keeps only
                 # its earlier events and yields no candidate.
-                for position in np.flatnonzero(
-                    [fault is not None for fault in faults]
-                ):
-                    lane = int(active[position])
+                kept = []
+                for position, (lane, fault) in enumerate(zip(active.tolist(), faults)):
+                    if fault is None:
+                        kept.append(position)
+                        continue
                     _retire(
                         lane,
-                        BatchedLaneResult(
-                            outcome=None,
-                            error=faults[position],
-                            events=events[lane],
-                        ),
+                        BatchedLaneResult(outcome=None, error=fault, events=events[lane]),
                     )
-                keep = np.flatnonzero([fault is None for fault in faults])
+                keep = np.asarray(kept, dtype=np.intp)
                 active = active[keep]
                 if not active.size:
                     break
@@ -677,12 +670,11 @@ def run_batched_lanes(
             # bookkeeping below free of per-element NumPy dispatch.
             delta_list = deltas.tolist()
             ll_list = log_likelihoods.tolist()
-            retire_positions: List[int] = []
             past_deadline = (
                 deadline is not None and time.perf_counter() >= deadline
             )
-            for position in range(active.size):
-                lane = int(active[position])
+            kept: List[int] = []
+            for position, lane in enumerate(active.tolist()):
                 delta = delta_list[position]
                 log_likelihood = ll_list[position]
                 traces[lane].record(log_likelihood, delta)
@@ -696,30 +688,17 @@ def run_batched_lanes(
                         )
                     )
                 if not (math.isfinite(delta) and math.isfinite(log_likelihood)):
-                    _retire(
-                        lane,
-                        _finish(lane, position, params, posterior, diverged=True),
-                    )
-                    retire_positions.append(position)
+                    status = {"diverged": True}
                 elif delta < tolerance:
-                    _retire(
-                        lane,
-                        _finish(lane, position, params, posterior, converged=True),
-                    )
-                    retire_positions.append(position)
+                    status = {"converged": True}
                 elif past_deadline:
-                    _retire(
-                        lane,
-                        _finish(
-                            lane, position, params, posterior,
-                            budget_exhausted=True,
-                        ),
-                    )
-                    retire_positions.append(position)
-            if retire_positions:
-                keep = np.setdiff1d(
-                    np.arange(active.size), np.asarray(retire_positions)
-                )
+                    status = {"budget_exhausted": True}
+                else:
+                    kept.append(position)
+                    continue
+                _retire(lane, _finish(lane, position, params, posterior, **status))
+            if len(kept) < active.size:
+                keep = np.asarray(kept, dtype=np.intp)
                 active = active[keep]
                 if active.size:
                     params = params.select(keep)

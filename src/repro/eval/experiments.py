@@ -257,8 +257,6 @@ def _estimator_sweep(
     include_optimal: bool = True,
     telemetry: Optional[TelemetryRecorder] = None,
     parallel: Optional[ParallelConfig] = None,
-    trial_mode: str = "serial",
-    batch_size: Optional[int] = None,
 ) -> SweepResult:
     bound_config = (
         GibbsConfig(min_sweeps=400, max_sweeps=4000)
@@ -276,8 +274,6 @@ def _estimator_sweep(
         bound_config=bound_config,
         telemetry=telemetry,
         parallel=parallel,
-        trial_mode=trial_mode,
-        batch_size=batch_size,
     )
 
 

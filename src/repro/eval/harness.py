@@ -238,7 +238,7 @@ class _TrialOutcome:
 
 
 def _run_trial(
-    task: _TrialTask, spec: _TrialSpec, telemetry=None, breakers=None, prefit=None
+    task: _TrialTask, spec: _TrialSpec, telemetry=None, breakers=None
 ) -> _TrialOutcome:
     """Fit and score every algorithm of one trial (runs in a worker).
 
@@ -252,19 +252,11 @@ def _run_trial(
     :class:`~repro.resilience.supervisor.CircuitBreaker` instances; a
     fit whose breaker is open is short-circuited into the ledger
     without running.
-
-    ``prefit`` (serial path only, set by ``trial_mode="batched"``) maps
-    algorithm names to ``(result, events)`` pairs computed ahead of
-    time as batched lanes.  Because ``retry_seed(base, 0) == base``,
-    attempt 0 of a prefit algorithm consumes the lane result — which is
-    bit-for-bit the scalar fit — and replays its telemetry; retry
-    attempts reseed and fall through to the scalar path.
     """
     problem = task.problem
     blind = problem.without_truth()
     recorder = TelemetryRecorder() if spec.record_events else None
     callbacks = telemetry if telemetry is not None else recorder
-    prefit = prefit or {}
     failures: List[TrialFailure] = []
     metrics_by_name = []
 
@@ -297,14 +289,8 @@ def _run_trial(
         for name in spec.algorithms:
 
             def _fit_and_score(fit_seed: int, name: str = name) -> ClassificationMetrics:
-                if name in prefit and fit_seed == task.trial_seed:
-                    result, lane_events = prefit[name]
-                    observability.count("harness.batched.prefit_hits")
-                    if callbacks is not None:
-                        replay_events(lane_events, (callbacks,))
-                else:
-                    finder = _make(name, fit_seed, spec.em_config, callbacks)
-                    result = finder.fit(blind)
+                finder = _make(name, fit_seed, spec.em_config, callbacks)
+                result = finder.fit(blind)
                 if not np.all(np.isfinite(result.scores)):
                     raise DataError(
                         f"{name} produced non-finite scores on trial {task.trial}"
@@ -407,8 +393,6 @@ def run_simulation(
     problem_format: str = FORMAT_DENSE,
     breaker_config: Optional[BreakerConfig] = None,
     bound_deadline_seconds: Optional[float] = None,
-    trial_mode: str = "serial",
-    batch_size: Optional[int] = None,
 ) -> SimulationResult:
     """Run the Section V-B experiment loop at one parameter point.
 
@@ -466,20 +450,9 @@ def run_simulation(
     continues; under ``fail_fast`` the
     :class:`~repro.parallel.WorkerTimeoutError` propagates.
 
-    ``trial_mode="batched"`` fits every trial's ``em-ext`` ahead of the
-    trial loop as stacked lanes of shared tensor passes
-    (:func:`repro.core.em_ext.fit_em_ext_batch`'s machinery), packing
-    ``batch_size`` trials — default sized to keep packs near 64 lanes —
-    per pass.  Results are bit-for-bit the serial ones: attempt 0 of
-    each trial's ``em-ext`` consumes the lane result (exact because
-    ``retry_seed(base, 0) == base``), while a lane whose fit faulted is
-    *ejected* — absent from the prefit map — so the trial re-runs on
-    the scalar path, deterministically reproducing the fault under the
-    failure policy and recording the usual ledger entry.  Lane packs
-    run in the parent and need the dense format, so ``parallel`` and
-    ``problem_format="csr"`` are rejected; telemetry events replay with
-    the scalar deltas and log-likelihoods (shared pass wall times), and
-    an early-stop request cannot reach an already-finished lane.
+    Each dense ``em-ext`` fit runs its restarts as the lanes of one
+    tensor pass (:meth:`repro.core.em_ext.EMExtEstimator.fit`), so its
+    telemetry reaches ``telemetry`` after the fit, not live.
     """
     if n_trials <= 0:
         raise ValidationError(f"n_trials must be positive, got {n_trials}")
@@ -502,23 +475,6 @@ def run_simulation(
             "bound_deadline_seconds must be positive, got "
             f"{bound_deadline_seconds}"
         )
-    if trial_mode not in ("serial", "batched"):
-        raise ValidationError(
-            f"trial_mode must be 'serial' or 'batched', got {trial_mode!r}"
-        )
-    if batch_size is not None and batch_size <= 0:
-        raise ValidationError(f"batch_size must be positive, got {batch_size}")
-    if trial_mode == "batched":
-        if parallel is not None:
-            raise ValidationError(
-                "batched trial packs run in the parent process; drop "
-                "trial_mode='batched' or parallel"
-            )
-        if problem_format != FORMAT_DENSE:
-            raise ValidationError(
-                "batched trial packs require the dense problem format, got "
-                f"{problem_format!r}"
-            )
     exact_limit = min(exact_limit, MAX_EXACT_SOURCES)
     bound_config = bound_config or GibbsConfig(min_sweeps=400, max_sweeps=4000)
     rng = RandomState(seed)
@@ -596,25 +552,14 @@ def run_simulation(
         bound_deadline_seconds=bound_deadline_seconds,
         record_observability=parallel is not None and observability.enabled(),
     )
-    prefit_by_trial: Dict[int, Dict[str, tuple]] = {}
-    if trial_mode == "batched" and "em-ext" in spec.algorithms and tasks:
-        prefit_by_trial = _prefit_em_ext_packs(
-            tasks,
-            em_config or EMConfig(),
-            batch_size,
-            collect_events=telemetry is not None,
-        )
     if parallel is None:
         breakers = None
         if breaker_config is not None:
             names = list(algorithms) + ([OPTIMAL_KEY] if include_optimal else [])
             breakers = {name: CircuitBreaker(breaker_config) for name in names}
         # Serial path: the estimators call the caller's telemetry
-        # callback live (preserving its early-stop protocol).
-        outcomes = (
-            _run_trial(task, spec, telemetry, breakers, prefit_by_trial.get(task.trial))
-            for task in tasks
-        )
+        # callback directly.
+        outcomes = (_run_trial(task, spec, telemetry, breakers) for task in tasks)
     else:
         on_timeout = (
             _timed_out_outcome
@@ -664,54 +609,6 @@ def run_simulation(
     return SimulationResult(
         config=config, n_trials=n_trials, series=series, failures=failures
     )
-
-
-def _prefit_em_ext_packs(
-    tasks: Sequence[_TrialTask],
-    em_config: EMConfig,
-    batch_size: Optional[int],
-    *,
-    collect_events: bool,
-) -> Dict[int, Dict[str, tuple]]:
-    """Fit every trial's ``em-ext`` as lanes of stacked tensor packs.
-
-    Returns ``trial → {"em-ext": (result, events)}`` for the lanes that
-    completed.  A faulted lane — or a pack whose setup failed outright —
-    is simply absent: ``_run_trial`` then re-runs that trial on the
-    scalar path, which deterministically reproduces the fault under the
-    failure policy and records the usual ledger entry (the ejection
-    contract).  Ejections are counted on ``harness.batched.ejections``.
-    """
-    from repro.core.em_ext import _batch_lane_outcomes
-
-    if batch_size is None:
-        # Default pack size targets ~64 lanes per tensor pass: enough
-        # occupancy to amortise per-pass dispatch, small enough that
-        # the (lanes, n, m) stacks stay cache- and memory-friendly.
-        batch_size = max(1, 64 // max(1, em_config.n_restarts))
-    prefit: Dict[int, Dict[str, tuple]] = {}
-    with observability.span(
-        "harness.batched_prefit", n_trials=len(tasks), batch_size=batch_size
-    ):
-        for start in range(0, len(tasks), batch_size):
-            pack = tasks[start : start + batch_size]
-            try:
-                outcomes = _batch_lane_outcomes(
-                    [task.problem.without_truth() for task in pack],
-                    [task.trial_seed for task in pack],
-                    em_config,
-                    collect_events=collect_events,
-                )
-            except Exception:
-                # Pack-level fault (e.g. shape drift): eject every lane.
-                observability.count("harness.batched.ejections", len(pack))
-                continue
-            for task, (result, events, error) in zip(pack, outcomes):
-                if error is not None or result is None:
-                    observability.count("harness.batched.ejections")
-                    continue
-                prefit[task.trial] = {"em-ext": (result, events)}
-    return prefit
 
 
 def _attempt(

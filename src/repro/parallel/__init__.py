@@ -1,11 +1,12 @@
 """Process-based parallel execution layer.
 
-The paper's evaluation is embarrassingly parallel three times over:
-Section V-B sweeps hundreds of Monte-Carlo trials per parameter point,
-Algorithm 1 runs one Gibbs chain per distinct dependency column, and
-multi-restart EM runs independent restarts.  This package fans each of
-those out across worker processes under one configuration object,
-without giving up the library's determinism guarantee:
+The paper's evaluation is embarrassingly parallel twice over: Section
+V-B sweeps hundreds of Monte-Carlo trials per parameter point, and
+Algorithm 1 runs one Gibbs chain per distinct dependency column.  This
+package fans both out across worker processes under one configuration
+object, without giving up the library's determinism guarantee
+(multi-restart EM needs no processes: restarts run as stacked lanes of
+one tensor pass, see :mod:`repro.engine.batched`):
 
 * :mod:`repro.parallel.config` — :class:`ParallelConfig`
   (``n_jobs`` / ``backend`` / ``chunk_size`` / ``start_method`` /
@@ -18,15 +19,13 @@ without giving up the library's determinism guarantee:
 
 **Determinism contract.**  Every parallel entry point draws its random
 numbers in the *parent*, in the same order as the serial code path
-(dataset generation, ``SeedSequence``-derived trial/restart/chain
-seeds), ships explicit seeds or generators to workers, and consumes
+(dataset generation, ``SeedSequence``-derived trial/chain seeds), ships explicit seeds or generators to workers, and consumes
 results in task order.  A run with ``n_jobs=8`` is therefore
 bit-for-bit identical to ``n_jobs=1`` — pinned by
 ``tests/parallel/test_parity.py``.
 
 Entry points: :func:`repro.eval.harness.run_simulation` (``parallel=``),
-:func:`repro.bounds.gibbs.gibbs_bound` (``parallel=``),
-:class:`repro.engine.driver.EMDriver` (``parallel=``), and the CLI's
+:func:`repro.bounds.gibbs.gibbs_bound` (``parallel=``), and the CLI's
 ``--n-jobs`` flag.
 """
 

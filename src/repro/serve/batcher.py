@@ -7,8 +7,9 @@ to find those B's inside a drained queue: it groups pending requests by
 everything the stacked program requires to be uniform — dense storage,
 the batchable algorithm, the ``(n, m)`` shape and the (hashable, frozen)
 :class:`~repro.core.em_ext.EMConfig` — and chunks each group to the
-configured lane budget.  Whatever cannot ride a pack (CSR problems,
-non-EM-Ext algorithms, shapes nobody else shares) is returned as serial
+configured lane budget.  A group of one is a one-lane pack — the same
+engine a direct dense ``EMExtEstimator.fit`` runs.  Whatever cannot ride
+a pack (CSR problems, non-EM-Ext algorithms) is returned as serial
 leftovers with the reason attached, so the service can count
 ``serve.fallbacks`` per cause.
 
@@ -32,7 +33,6 @@ BATCHABLE_ALGORITHM = "em-ext"
 #: Serial-fallback reasons (counter suffixes under ``serve.fallbacks``).
 FALLBACK_ALGORITHM = "algorithm"
 FALLBACK_FORMAT = "format"
-FALLBACK_SINGLETON = "singleton"
 
 
 @dataclass
@@ -80,12 +80,9 @@ def plan_batches(
 ) -> Tuple[List[List[PendingRequest]], List[Tuple[PendingRequest, str]]]:
     """Split ``pending`` into lane packs and serial leftovers.
 
-    Returns ``(packs, serial)`` where each pack holds ≥ 2 compatible
-    requests (≤ ``max_batch_size``) in submission order, and ``serial``
-    pairs each leftover with its fallback reason.  A compatibility
-    group of size 1 — including the size-1 tail chunk of a larger
-    group — goes serial: a one-lane tensor program only adds stacking
-    overhead over the scalar fit it replicates.
+    Returns ``(packs, serial)`` where each pack holds 1 to
+    ``max_batch_size`` compatible requests in submission order, and
+    ``serial`` pairs each unbatchable request with its fallback reason.
     """
     groups: Dict[Tuple, List[PendingRequest]] = {}
     serial: List[Tuple[PendingRequest, str]] = []
@@ -104,15 +101,11 @@ def plan_batches(
             groups[key] = []
             order.append(key)
         groups[key].append(item)
-    packs: List[List[PendingRequest]] = []
-    for key in order:
-        members = groups[key]
-        for start in range(0, len(members), max_batch_size):
-            chunk = members[start : start + max_batch_size]
-            if len(chunk) >= 2:
-                packs.append(chunk)
-            else:
-                serial.append((chunk[0], FALLBACK_SINGLETON))
+    packs = [
+        groups[key][start : start + max_batch_size]
+        for key in order
+        for start in range(0, len(groups[key]), max_batch_size)
+    ]
     return packs, serial
 
 
@@ -120,7 +113,6 @@ __all__ = [
     "BATCHABLE_ALGORITHM",
     "FALLBACK_ALGORITHM",
     "FALLBACK_FORMAT",
-    "FALLBACK_SINGLETON",
     "PendingRequest",
     "batch_key",
     "plan_batches",

@@ -529,8 +529,11 @@ def fit_request(
     This is the exact construction the service's serial path uses and
     the reference every other path must match bit-for-bit; the trace
     replayer's ``--verify`` mode and the serve test-wall both compare
-    against it.  ``initial_parameters`` only applies to EM-Ext (the
-    warm-start contract).
+    against it.  A dense EM-Ext fit is itself a one-problem lane pack,
+    so the oracle is anchored to the scalar ``EMDriver`` loop by the
+    engine's parity walls (``tests/engine/test_batched.py`` and the
+    pinned ``tests/engine/test_parity.py``).  ``initial_parameters``
+    only applies to EM-Ext (the warm-start contract).
     """
     name = request.algorithm
     if name == BATCHABLE_ALGORITHM:

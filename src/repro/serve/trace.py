@@ -37,7 +37,7 @@ from repro.serve.request import (
 )
 from repro.serve.service import EstimationService, ServiceConfig, fit_request
 from repro.synthetic import GeneratorConfig, generate_dataset
-from repro.utils.errors import DataError, ValidationError
+from repro.utils.errors import DataError, ReproError, ValidationError
 
 #: Schema tag of the trace JSONL header record.
 SERVE_TRACE_SCHEMA = "repro.serve-trace/v1"
@@ -113,7 +113,9 @@ def load_trace(path: str) -> List[EstimationRequest]:
     the synthetic generator (memoised, so repeated references share one
     materialisation — and hence one content fingerprint); records
     carrying inline ``claims`` / ``dependency`` arrays are wrapped
-    directly.
+    directly.  Invalid JSON, an unsupported header or a malformed
+    request record raises :class:`~repro.utils.errors.DataError` naming
+    ``path:line``.
     """
     requests: List[EstimationRequest] = []
     problems: Dict[tuple, DenseProblem] = {}
@@ -128,6 +130,11 @@ def load_trace(path: str) -> List[EstimationRequest]:
                 raise DataError(
                     f"{path}:{line_number}: invalid JSON ({error})"
                 ) from error
+            if not isinstance(record, dict):
+                raise DataError(
+                    f"{path}:{line_number}: expected a JSON object, got "
+                    f"{type(record).__name__}"
+                )
             if "request_id" not in record:
                 schema = record.get("schema")
                 if schema != SERVE_TRACE_SCHEMA:
@@ -136,43 +143,56 @@ def load_trace(path: str) -> List[EstimationRequest]:
                         f"{schema!r} (expected {SERVE_TRACE_SCHEMA!r})"
                     )
                 continue
-            if "claims" in record:
-                problem = DenseProblem.from_arrays(
-                    np.asarray(record["claims"], dtype=np.int8),
-                    np.asarray(record["dependency"], dtype=np.int8),
-                )
-            else:
-                key = (
-                    int(record["generator_seed"]),
-                    int(record.get("n_sources", 20)),
-                    int(record.get("n_assertions", 50)),
-                )
-                problem = problems.get(key)
-                if problem is None:
-                    problem = generate_dataset(
-                        GeneratorConfig(
-                            n_sources=key[1], n_assertions=key[2]
-                        ),
-                        seed=key[0],
-                    ).problem.without_truth()
-                    problems[key] = problem
-            config = (
-                EMConfig(**record["em"]) if record.get("em") is not None else None
-            )
-            requests.append(
-                EstimationRequest(
-                    request_id=str(record["request_id"]),
-                    problem=problem,
-                    algorithm=str(record.get("algorithm", "em-ext")),
-                    config=config,
-                    seed=record.get("seed"),
-                    timeout_seconds=record.get("timeout_seconds"),
-                    warm_start=bool(record.get("warm_start", False)),
-                )
-            )
+            try:
+                requests.append(_record_request(record, problems))
+            except (KeyError, TypeError, ValueError, ReproError) as error:
+                raise DataError(
+                    f"{path}:{line_number}: malformed request record "
+                    f"({type(error).__name__}: {error})"
+                ) from error
     if not requests:
         raise DataError(f"{path}: trace contains no requests")
     return requests
+
+
+def _record_request(
+    record: dict, problems: Dict[tuple, DenseProblem]
+) -> EstimationRequest:
+    """One trace request record as a request object.
+
+    Problems referenced by ``generator_seed`` are memoised in
+    ``problems``.  A missing field, unknown ``em`` key or badly typed
+    value raises ``KeyError``, ``TypeError``, ``ValueError`` or a
+    :class:`~repro.utils.errors.ReproError`.
+    """
+    if "claims" in record:
+        problem = DenseProblem.from_arrays(
+            np.asarray(record["claims"], dtype=np.int8),
+            np.asarray(record["dependency"], dtype=np.int8),
+        )
+    else:
+        key = (
+            int(record["generator_seed"]),
+            int(record.get("n_sources", 20)),
+            int(record.get("n_assertions", 50)),
+        )
+        problem = problems.get(key)
+        if problem is None:
+            problem = generate_dataset(
+                GeneratorConfig(n_sources=key[1], n_assertions=key[2]),
+                seed=key[0],
+            ).problem.without_truth()
+            problems[key] = problem
+    config = EMConfig(**record["em"]) if record.get("em") is not None else None
+    return EstimationRequest(
+        request_id=str(record["request_id"]),
+        problem=problem,
+        algorithm=str(record.get("algorithm", "em-ext")),
+        config=config,
+        seed=record.get("seed"),
+        timeout_seconds=record.get("timeout_seconds"),
+        warm_start=bool(record.get("warm_start", False)),
+    )
 
 
 def results_bitwise_equal(a, b) -> bool:

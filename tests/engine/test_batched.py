@@ -2,14 +2,15 @@
 
 Everything the batched tensor path produces — parameters, posteriors,
 log-likelihood traces, restart selection, health ledgers, even fault
-message strings — must be **bit-for-bit** what the serial loop produces
-for the same lane alone.  These tests pin that contract at every layer:
-the stacked parameter container, ``run_batched_lanes`` against
-``EMDriver.run``, ``restart_mode="batched"`` against the serial restart
-loop, :func:`repro.core.fit_em_ext_batch` against per-problem
-``EMExtEstimator.fit``, and ``run_simulation(trial_mode="batched")``
-against the serial harness — plus the transparency guarantee that
-observability being on or off changes no bits.
+message strings — must be **bit-for-bit** what the scalar loop produces
+for the same lane alone.  Every dense ``EMExtEstimator.fit`` runs on
+this engine, so the wall compares it with the *scalar reference*
+(:func:`_scalar_reference`: ``EMDriver.fit`` over a ``DenseBackend``)
+at every layer: the stacked parameter container, ``run_batched_lanes``
+against ``EMDriver.run``, dense fits (restarts as lanes) against the
+scalar restart loop, and :func:`repro.core.fit_em_ext_batch` against
+per-problem fits — plus the transparency guarantee that observability
+being on or off changes no bits.
 """
 
 import numpy as np
@@ -17,7 +18,12 @@ import pytest
 
 from repro import observability
 from repro.core import SourceParameters, fit_em_ext_batch
-from repro.core.em_ext import EMConfig, EMExtEstimator
+from repro.core.em_ext import (
+    EMConfig,
+    EMExtEstimator,
+    _estimation_result,
+    _lane_candidates,
+)
 from repro.core.likelihood import column_log_likelihoods
 from repro.engine import EMDriver, TelemetryRecorder
 from repro.engine.backends import DenseBackend, _check_rates_finite
@@ -28,9 +34,10 @@ from repro.engine.batched import (
     BatchedSourceParameters,
     run_batched_lanes,
 )
-from repro.eval import run_simulation
+from repro.resilience import FaultInjector
 from repro.synthetic import GeneratorConfig, generate_dataset
 from repro.utils.errors import ConvergenceError, ValidationError
+from repro.utils.rng import RandomState
 from repro.utils.validation import check_probability
 
 SEED = 20160627  # the paper's conference date; any fixed seed works
@@ -41,6 +48,19 @@ def _problem(n_sources=10, n_assertions=16, seed=SEED):
         n_sources=n_sources, n_assertions=n_assertions, n_trees=(3, 4)
     )
     return generate_dataset(config, seed=seed).problem.without_truth()
+
+
+def _scalar_reference(problem, config, seed, *, initial_parameters=None, callbacks=()):
+    """The scalar ``EMDriver.fit`` loop a dense EM-Ext fit must equal."""
+    backend = DenseBackend(problem, smoothing=config.smoothing, epsilon=config.epsilon)
+    estimator = EMExtEstimator(config, seed=seed, initial_parameters=initial_parameters)
+    driver = EMDriver.from_config(config, callbacks=callbacks)
+    return _estimation_result(driver.fit(backend, estimator._initialiser(backend), seed))
+
+
+def _shared(backend, n_lanes):
+    """``n_lanes`` restart lanes over one scalar backend."""
+    return BatchedDenseBackend.from_backends([backend] * n_lanes)
 
 
 def _random_params(n_sources, seed, count):
@@ -184,7 +204,7 @@ class TestBatchedKernelParity:
         f[0] = 1.0
         degenerate = SourceParameters(a=a, b=params[1].b, f=f, g=params[1].g, z=0.5)
         lanes = [params[0], degenerate, params[2]]
-        batched = BatchedDenseBackend.from_backend(backend, 3)
+        batched = _shared(backend, 3)
         # The legacy path warns on 0·(-inf) products for unclamped θ —
         # identically on the serial backend; silence it on both sides so
         # the comparison is about the floats, not the warning filter.
@@ -223,7 +243,7 @@ class TestBatchedKernelParity:
         problem = _problem()
         backend = DenseBackend(problem, smoothing=smoothing)
         params = _random_params(problem.n_sources, SEED, 2)
-        batched = BatchedDenseBackend.from_backend(backend, 2)
+        batched = _shared(backend, 2)
         stacked = BatchedSourceParameters.stack(params)
         posterior, _ = batched.e_step(stacked)
         new_params = batched.m_step(posterior, stacked)
@@ -242,7 +262,7 @@ class TestRunBatchedLanes:
         inits = _random_params(problem.n_sources, SEED, 5)
         driver = EMDriver(max_iterations=60, tolerance=1e-6)
         lanes = run_batched_lanes(
-            BatchedDenseBackend.from_backend(backend, 5),
+            _shared(backend, 5),
             inits,
             max_iterations=60,
             tolerance=1e-6,
@@ -264,7 +284,7 @@ class TestRunBatchedLanes:
 
         def run(collect_events):
             return run_batched_lanes(
-                BatchedDenseBackend.from_backend(backend, 3),
+                _shared(backend, 3),
                 inits,
                 max_iterations=40,
                 tolerance=1e-6,
@@ -290,7 +310,7 @@ class TestRunBatchedLanes:
         backend = DenseBackend(problem)
         with pytest.raises(ValidationError):
             run_batched_lanes(
-                BatchedDenseBackend.from_backend(backend, 3),
+                _shared(backend, 3),
                 _random_params(problem.n_sources, SEED, 2),
                 max_iterations=5,
                 tolerance=1e-6,
@@ -310,50 +330,60 @@ class TestRunBatchedLanes:
 
 
 class TestRestartModeParity:
+    """Restarts run as lanes; the scalar restart loop is the reference."""
+
     @pytest.mark.parametrize("n_restarts", [2, 5])
     def test_batched_restarts_match_serial(self, n_restarts):
         problem = _problem(n_sources=12, n_assertions=20)
-        config = dict(n_restarts=n_restarts, init_strategy="random")
-        serial = EMExtEstimator(
-            EMConfig(restart_mode="serial", **config), seed=SEED
-        ).fit(problem)
-        batched = EMExtEstimator(
-            EMConfig(restart_mode="batched", **config), seed=SEED
-        ).fit(problem)
-        _assert_results_bitwise(serial, batched)
+        config = EMConfig(n_restarts=n_restarts, init_strategy="random")
+        _assert_results_bitwise(
+            _scalar_reference(problem, config, SEED),
+            EMExtEstimator(config, seed=SEED).fit(problem),
+        )
 
     def test_smoothed_batched_restarts_match_serial(self):
         problem = _problem()
-        config = dict(n_restarts=3, init_strategy="random", smoothing=1.0)
-        serial = EMExtEstimator(
-            EMConfig(restart_mode="serial", **config), seed=SEED
-        ).fit(problem)
-        batched = EMExtEstimator(
-            EMConfig(restart_mode="batched", **config), seed=SEED
-        ).fit(problem)
-        _assert_results_bitwise(serial, batched)
+        config = EMConfig(n_restarts=3, init_strategy="random", smoothing=1.0)
+        _assert_results_bitwise(
+            _scalar_reference(problem, config, SEED),
+            EMExtEstimator(config, seed=SEED).fit(problem),
+        )
 
     def test_fault_parity_on_poisoned_claims(self):
         """NaN claims fault every lane with the serial error, verbatim."""
         problem = _problem()
         estimator = EMExtEstimator(seed=SEED)
+        config = EMConfig(n_restarts=3, init_strategy="random")
 
-        def poisoned_fit(restart_mode):
+        def poisoned_backend():
             backend = DenseBackend(problem)
             backend.sc[0, 0] = np.nan
             backend.sc_indep[0, 0] = np.nan
-            config = EMConfig(
-                n_restarts=3, init_strategy="random", restart_mode=restart_mode
-            )
-            driver = EMDriver.from_config(config)
-            with pytest.raises(ConvergenceError) as exc:
-                driver.fit(backend, estimator._initialiser(backend), SEED)
-            return str(exc.value)
+            return backend
 
-        serial_message = poisoned_fit("serial")
-        batched_message = poisoned_fit("batched")
-        assert serial_message == batched_message
-        assert "every EM restart failed" in batched_message
+        backend = poisoned_backend()
+        with pytest.raises(ConvergenceError) as serial:
+            EMDriver.from_config(config).fit(
+                backend, estimator._initialiser(backend), SEED
+            )
+        backend = poisoned_backend()
+        driver = EMDriver.from_config(config)
+        prepared, init_errors = driver._prepare_restarts(
+            estimator._initialiser(backend), RandomState(SEED)
+        )
+        lanes = run_batched_lanes(
+            _shared(backend, len(prepared)),
+            [params for _, params in prepared],
+            max_iterations=config.max_iterations,
+            tolerance=config.tolerance,
+        )
+        indices = [index for index, _ in prepared]
+        with pytest.raises(ConvergenceError) as batched:
+            driver.consume_candidates(
+                _lane_candidates(iter(lanes), indices, init_errors, 3, [])
+            )
+        assert str(serial.value) == str(batched.value)
+        assert "every EM restart failed" in str(batched.value)
 
     def test_lane_fault_string_matches_the_serial_raise(self):
         """A poisoned lane retires with the serial m_step's message."""
@@ -365,7 +395,7 @@ class TestRestartModeParity:
             backend.m_step(backend.posterior(inits[0]), inits[0])
         serial_error = f"{type(exc.value).__name__}: {exc.value}"
         lanes = run_batched_lanes(
-            backend.batched_lanes(2),
+            _shared(backend, 2),
             inits,
             max_iterations=10,
             tolerance=1e-6,
@@ -374,35 +404,30 @@ class TestRestartModeParity:
             assert lane.outcome is None
             assert lane.error == serial_error == _RATES_FAULT
 
-    def test_restart_mode_validation(self):
-        with pytest.raises(ValidationError):
-            EMConfig(restart_mode="vectorised")
-
     def test_csr_backend_falls_back_to_serial(self):
+        """CSR input with a warm start stays on the scalar sparse loop."""
         pytest.importorskip("scipy")
         from repro.data.coerce import coerce_problem
         from repro.data.protocol import FORMAT_CSR
+        from repro.engine import make_backend
 
         problem = _problem()
         csr = coerce_problem(problem, needs=(FORMAT_CSR,))
         # Explicit warm starts keep the problem on the CSR backend
         # (random draws would densify it), which has no batched twin.
         warm = SourceParameters.random(problem.n_sources, SEED).clamp(1e-4)
-        config = dict(n_restarts=3)
-        serial = EMExtEstimator(
-            EMConfig(restart_mode="serial", **config),
-            seed=SEED,
-            initial_parameters=warm,
-        ).fit(csr)
+        config = EMConfig(n_restarts=3)
+        estimator = EMExtEstimator(config, seed=SEED, initial_parameters=warm)
+        backend = make_backend(csr, smoothing=config.smoothing, epsilon=config.epsilon)
+        reference = _estimation_result(
+            EMDriver.from_config(config).fit(
+                backend, estimator._initialiser(backend), SEED
+            )
+        )
         with observability.observe(root_name="test") as session:
-            batched = EMExtEstimator(
-                EMConfig(restart_mode="batched", **config),
-                seed=SEED,
-                initial_parameters=warm,
-            ).fit(csr)
-        _assert_results_bitwise(serial, batched)
+            fitted = estimator.fit(csr)
+        _assert_results_bitwise(reference, fitted)
         counters = session.metrics.snapshot()["counters"]
-        assert counters.get("engine.batched.fallbacks") == 1
         assert "engine.batched.lanes" not in counters
 
     def test_random_init_csr_input_densifies_and_batches(self):
@@ -413,32 +438,102 @@ class TestRestartModeParity:
 
         problem = _problem()
         csr = coerce_problem(problem, needs=(FORMAT_CSR,))
-        config = dict(n_restarts=3, init_strategy="random")
-        serial = EMExtEstimator(
-            EMConfig(restart_mode="serial", **config), seed=SEED
-        ).fit(csr)
+        config = EMConfig(n_restarts=3, init_strategy="random")
         with observability.observe(root_name="test") as session:
-            batched = EMExtEstimator(
-                EMConfig(restart_mode="batched", **config), seed=SEED
-            ).fit(csr)
-        _assert_results_bitwise(serial, batched)
+            batched = EMExtEstimator(config, seed=SEED).fit(csr)
+        _assert_results_bitwise(_scalar_reference(problem, config, SEED), batched)
         counters = session.metrics.snapshot()["counters"]
         assert counters.get("engine.batched.lanes") == 3
 
     def test_telemetry_stream_matches_serial(self):
         problem = _problem()
-        config = dict(n_restarts=3, init_strategy="random")
+        config = EMConfig(n_restarts=3, init_strategy="random")
+        serial, batched = TelemetryRecorder(), TelemetryRecorder()
+        _scalar_reference(problem, config, SEED, callbacks=(serial,))
+        EMExtEstimator(config, seed=SEED, callbacks=(batched,)).fit(problem)
 
-        def recorded(restart_mode):
-            recorder = TelemetryRecorder()
-            EMExtEstimator(
-                EMConfig(restart_mode=restart_mode, **config),
-                seed=SEED,
-                callbacks=(recorder,),
-            ).fit(problem)
+        def keys(recorder):
             return [(e.iteration, e.delta, e.log_likelihood) for e in recorder.events]
 
-        assert recorded("serial") == recorded("batched")
+        assert keys(serial) == keys(batched)
+
+
+class TestScalarReferenceWall:
+    """Every dense fit configuration equals the scalar reference loop."""
+
+    @pytest.mark.parametrize("n_restarts", [1, 4])
+    @pytest.mark.parametrize("smoothing", [0.0, 2.0])
+    @pytest.mark.parametrize("init_strategy", ["staged", "support", "random"])
+    def test_fit_matches_scalar_reference(self, init_strategy, smoothing, n_restarts):
+        problem = _problem(n_sources=12, n_assertions=20)
+        config = EMConfig(
+            init_strategy=init_strategy, smoothing=smoothing, n_restarts=n_restarts
+        )
+        _assert_results_bitwise(
+            _scalar_reference(problem, config, SEED),
+            EMExtEstimator(config, seed=SEED).fit(problem),
+        )
+
+    def test_warm_start_matches_scalar_reference(self):
+        problem = _problem(n_sources=12, n_assertions=20)
+        warm = SourceParameters.random(problem.n_sources, SEED).clamp(1e-4)
+        config = EMConfig(n_restarts=3)
+        _assert_results_bitwise(
+            _scalar_reference(problem, config, SEED, initial_parameters=warm),
+            EMExtEstimator(config, seed=SEED, initial_parameters=warm).fit(problem),
+        )
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_poisoned_claims_match_scalar_reference(self, strict, monkeypatch):
+        """Same restart ledger strings, same ConvergenceError."""
+        problem = FaultInjector(seed=0).poison_claims(_problem(), rate=0.1)
+        config = EMConfig(n_restarts=3, strict=strict)
+        ledgers = []
+        consume = EMDriver.consume_candidates
+
+        def recording(self, candidates, health=None):
+            ledger = []
+            ledgers.append(ledger)
+
+            def tapped():
+                for index, outcome, error in candidates:
+                    ledger.append((index, outcome is None, error))
+                    yield index, outcome, error
+
+            return consume(self, tapped(), health)
+
+        monkeypatch.setattr(EMDriver, "consume_candidates", recording)
+        with pytest.raises(ConvergenceError) as serial:
+            _scalar_reference(problem, config, SEED)
+        with pytest.raises(ConvergenceError) as batched:
+            EMExtEstimator(config, seed=SEED).fit(problem)
+        assert str(serial.value) == str(batched.value)
+        assert serial.value.iterations == batched.value.iterations
+        assert np.array_equal(
+            serial.value.residual, batched.value.residual, equal_nan=True
+        )
+        serial_ledger, batched_ledger = ledgers
+        assert serial_ledger == batched_ledger
+        assert len(serial_ledger) == 3
+        assert all(error for _, _, error in serial_ledger)
+
+    def test_wall_budget_counts_initialisation(self, monkeypatch):
+        """The max_wall_seconds clock starts before the initialisers run."""
+        import time
+
+        from repro.core import em_ext
+
+        staged = em_ext.staged_initialisation
+
+        def slow_staged(*args, **kwargs):
+            time.sleep(0.1)
+            return staged(*args, **kwargs)
+
+        monkeypatch.setattr(em_ext, "staged_initialisation", slow_staged)
+        config = EMConfig(tolerance=1e-12, max_wall_seconds=0.05)
+        result = EMExtEstimator(config, seed=SEED).fit(_problem())
+        assert result.health.budget_exhausted
+        assert result.n_iterations == 1
 
 
 class TestFitEmExtBatch:
@@ -475,94 +570,13 @@ class TestFitEmExtBatch:
             fit_em_ext_batch([_problem()], seeds=[1, 2])
 
 
-class TestHarnessTrialMode:
-    CONFIG = GeneratorConfig(n_sources=10, n_assertions=16, n_trees=(3, 4))
-    KWARGS = dict(
-        algorithms=("em-ext",),
-        n_trials=5,
-        seed=SEED,
-        include_optimal=False,
-        em_config=EMConfig(n_restarts=2, init_strategy="random"),
-    )
-
-    @staticmethod
-    def _series(result):
-        return {
-            name: (
-                tuple(series.accuracy),
-                tuple(series.false_positive_rate),
-                tuple(series.false_negative_rate),
-            )
-            for name, series in result.series.items()
-        }
-
-    def test_batched_trials_match_serial(self):
-        serial = run_simulation(self.CONFIG, **self.KWARGS)
-        with observability.observe(root_name="test") as session:
-            batched = run_simulation(
-                self.CONFIG, trial_mode="batched", **self.KWARGS
-            )
-        assert self._series(serial) == self._series(batched)
-        counters = session.metrics.snapshot()["counters"]
-        assert counters.get("harness.batched.prefit_hits") == 5
-        assert "harness.batched.ejections" not in counters
-
-    def test_batched_trials_match_serial_with_mixed_algorithms(self):
-        kwargs = dict(self.KWARGS, algorithms=("voting", "em-ext"))
-        serial = run_simulation(self.CONFIG, **kwargs)
-        batched = run_simulation(self.CONFIG, trial_mode="batched", **kwargs)
-        assert self._series(serial) == self._series(batched)
-
-    def test_ejected_pack_falls_back_to_the_scalar_path(self, monkeypatch):
-        """A faulted prefit pack is absent; trials re-run serially."""
-        from repro.core import em_ext
-
-        def explode(*args, **kwargs):
-            raise RuntimeError("lane pack lost")
-
-        monkeypatch.setattr(em_ext, "_batch_lane_outcomes", explode)
-        serial = run_simulation(self.CONFIG, **self.KWARGS)
-        with observability.observe(root_name="test") as session:
-            batched = run_simulation(
-                self.CONFIG, trial_mode="batched", **self.KWARGS
-            )
-        assert self._series(serial) == self._series(batched)
-        counters = session.metrics.snapshot()["counters"]
-        assert counters.get("harness.batched.ejections") == 5
-        assert "harness.batched.prefit_hits" not in counters
-
-    def test_batched_mode_validations(self):
-        with pytest.raises(ValidationError):
-            run_simulation(self.CONFIG, trial_mode="stacked", **self.KWARGS)
-        with pytest.raises(ValidationError):
-            run_simulation(
-                self.CONFIG, trial_mode="batched", batch_size=0, **self.KWARGS
-            )
-        from repro.parallel import ParallelConfig
-
-        with pytest.raises(ValidationError):
-            run_simulation(
-                self.CONFIG,
-                trial_mode="batched",
-                parallel=ParallelConfig(n_jobs=2),
-                **self.KWARGS,
-            )
-
-    def test_explicit_batch_size_packs_match_serial(self):
-        serial = run_simulation(self.CONFIG, **self.KWARGS)
-        batched = run_simulation(
-            self.CONFIG, trial_mode="batched", batch_size=2, **self.KWARGS
-        )
-        assert self._series(serial) == self._series(batched)
-
-
 class TestTransparency:
     """PR 8's guarantee extends to the batched engine: observability on
     or off, the numbers are bit-for-bit identical."""
 
     def test_observed_batched_fit_is_bitwise_unchanged(self):
         problem = _problem()
-        config = EMConfig(n_restarts=3, init_strategy="random", restart_mode="batched")
+        config = EMConfig(n_restarts=3, init_strategy="random")
         dark = EMExtEstimator(config, seed=SEED).fit(problem)
         with observability.observe(root_name="test") as session:
             observed = EMExtEstimator(config, seed=SEED).fit(problem)
@@ -575,13 +589,22 @@ class TestTransparency:
 
     def test_em_iterations_counter_matches_serial_total(self):
         problem = _problem()
-        config = dict(n_restarts=3, init_strategy="random")
+        config = EMConfig(n_restarts=3, init_strategy="random")
 
-        def iterations(restart_mode):
+        def iterations(fit):
             with observability.observe(root_name="test") as session:
-                EMExtEstimator(
-                    EMConfig(restart_mode=restart_mode, **config), seed=SEED
-                ).fit(problem)
+                fit()
             return session.metrics.snapshot()["counters"]["em.iterations"]
 
-        assert iterations("serial") == iterations("batched")
+        assert iterations(lambda: _scalar_reference(problem, config, SEED)) == iterations(
+            lambda: EMExtEstimator(config, seed=SEED).fit(problem)
+        )
+
+    def test_single_fit_span_tree_is_em_fit_then_em_run(self):
+        """A one-problem pack runs its lanes inside its own em.fit span."""
+        config = EMConfig(n_restarts=3, init_strategy="random")
+        with observability.observe(root_name="test") as session:
+            EMExtEstimator(config, seed=SEED).fit(_problem())
+        (fit,) = [c for c in session.finish().children if c.name == "em.fit"]
+        (run,) = [c for c in fit.children if c.name == "em.run"]
+        assert run.attributes["n_lanes"] == 3

@@ -70,8 +70,9 @@ class TestParity:
 
     def test_serial_fallbacks_equal_direct_fits(self, fleet):
         requests, _ = fleet
-        # A lone em-ext request, a CSR request and a heuristic request
-        # all take the serial path; each must still match the oracle.
+        # A lone em-ext request runs as a one-lane pack; a CSR request
+        # and a heuristic request take the serial path.  Each must still
+        # match the oracle.
         pytest.importorskip("scipy")
         odd = [
             make_request("lone", 50),
@@ -81,9 +82,9 @@ class TestParity:
             EstimationRequest("vote", make_problem(52), algorithm="voting"),
         ]
         responses = EstimationService().serve(odd)
+        assert [r.path for r in responses] == [PATH_BATCHED, PATH_SERIAL, PATH_SERIAL]
         for response, request in zip(responses, odd):
             assert response.ok
-            assert response.path == PATH_SERIAL
             assert results_bitwise_equal(response.result, fit_request(request))
 
     def test_mixed_drain_answers_in_submission_order(self, fleet):
@@ -152,7 +153,7 @@ class TestResultCache:
                     )
                 ]
             )
-            assert response.path == PATH_SERIAL
+            assert response.path == PATH_BATCHED
         assert service.n_cache_hits == 0
 
 
@@ -299,11 +300,10 @@ class TestBatchPlanner:
     def test_groups_chunk_to_the_lane_budget(self):
         items = [self.pend(make_request(f"r{i}", i), i) for i in range(5)]
         packs, serial = plan_batches(items, max_batch_size=2)
-        assert [len(pack) for pack in packs] == [2, 2]
-        # The size-1 tail chunk goes serial as a singleton.
-        assert [(p.request.request_id, reason) for p, reason in serial] == [
-            ("r4", "singleton")
-        ]
+        # The size-1 tail chunk is a one-lane pack.
+        assert [len(pack) for pack in packs] == [2, 2, 1]
+        assert packs[2][0].request.request_id == "r4"
+        assert serial == []
 
     def test_fallback_reasons(self):
         pytest.importorskip("scipy")
@@ -320,11 +320,10 @@ class TestBatchPlanner:
             self.pend(make_request("s", 3), 2),
         ]
         packs, serial = plan_batches(items, max_batch_size=32)
-        assert packs == []
+        assert [[p.request.request_id for p in pack] for pack in packs] == [["s"]]
         assert {(p.request.request_id, r) for p, r in serial} == {
             ("h", "algorithm"),
             ("c", "format"),
-            ("s", "singleton"),
         }
 
     def test_different_configs_never_share_a_pack(self):
@@ -334,8 +333,11 @@ class TestBatchPlanner:
             self.pend(make_request("b", 2, config=slow), 1),
         ]
         packs, serial = plan_batches(items, max_batch_size=32)
-        assert packs == []
-        assert all(reason == "singleton" for _, reason in serial)
+        assert [[p.request.request_id for p in pack] for pack in packs] == [
+            ["a"],
+            ["b"],
+        ]
+        assert serial == []
 
     def test_batch_key_none_for_unbatchable(self):
         assert batch_key(

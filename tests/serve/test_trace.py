@@ -111,6 +111,29 @@ class TestGenerateAndLoad:
             generate_trace(str(tmp_path / "x.jsonl"), n_requests=0)
 
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"request_id": "r", "generator_seed": 1, "em": {"bogus": 1}},
+            {"request_id": "r", "generator_seed": 1, "em": {"restart_mode": "batched"}},
+            {"request_id": "r", "n_sources": 10},
+            {"request_id": "r", "claims": [[1, 0], [0, 1]]},
+            ["not", "an", "object"],
+        ],
+        ids=["unknown-em-key", "removed-em-key", "no-problem", "no-dependency", "list"],
+    )
+    def test_malformed_records_raise_data_errors_with_line(self, tmp_path, record):
+        path = tmp_path / "malformed.jsonl"
+        path.write_text(
+            json.dumps({"schema": SERVE_TRACE_SCHEMA, "n_requests": 1})
+            + "\n"
+            + json.dumps(record)
+            + "\n"
+        )
+        with pytest.raises(DataError, match=f"{path}:2: "):
+            load_trace(str(path))
+
+
 class TestReplay:
     def test_batched_replay_verifies_clean(self, tmp_path):
         requests = load_trace(write_trace(tmp_path / "trace.jsonl"))

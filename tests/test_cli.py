@@ -74,27 +74,31 @@ class TestEstimate:
         assert code == 1
 
     def test_batched_restarts_match_serial(self, problem_file, tmp_path):
-        """--batch is a pure execution-mode switch: identical output."""
-        serial_out = tmp_path / "serial.json"
-        batched_out = tmp_path / "batched.json"
-        base = [
-            "estimate", "--problem", str(problem_file),
-            "--algorithm", "em-ext", "--seed", "7", "--restarts", "4",
-        ]
-        assert main(base + ["--out", str(serial_out)]) == 0
-        assert main(base + ["--batch", "--out", str(batched_out)]) == 0
-        serial = load_result(serial_out)
-        batched = load_result(batched_out)
-        assert serial.scores.tolist() == batched.scores.tolist()
+        """--restarts runs lanes whose output equals the scalar restart loop."""
+        from repro.core.em_ext import EMConfig, EMExtEstimator
+        from repro.engine import DenseBackend, EMDriver
+
+        out = tmp_path / "batched.json"
+        assert main(
+            ["estimate", "--problem", str(problem_file), "--algorithm", "em-ext",
+             "--seed", "7", "--restarts", "4", "--out", str(out)]
+        ) == 0
+        config = EMConfig(n_restarts=4)
+        backend = DenseBackend(load_problem(str(problem_file)).without_truth())
+        serial = EMDriver.from_config(config).fit(
+            backend, EMExtEstimator(config, seed=7)._initialiser(backend), 7
+        )
+        batched = load_result(out)
+        assert serial.posterior.tolist() == batched.scores.tolist()
         assert serial.log_likelihood == batched.log_likelihood
 
-    def test_batch_flag_ignored_for_other_algorithms(self, problem_file, capsys):
+    def test_restarts_flag_ignored_for_other_algorithms(self, problem_file, capsys):
         code = main(
             ["estimate", "--problem", str(problem_file),
-             "--algorithm", "voting", "--batch"]
+             "--algorithm", "voting", "--restarts", "3"]
         )
         assert code == 0
-        assert "apply to em-ext only" in capsys.readouterr().err
+        assert "applies to em-ext only" in capsys.readouterr().err
 
 
 class TestBound:

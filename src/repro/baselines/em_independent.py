@@ -17,14 +17,13 @@ conditionally independent given the assertion truth:
 Both ride the shared estimation engine: the masked independence model
 is :class:`~repro.engine.backends.MaskedDenseBackend`, driven by the
 same :class:`~repro.engine.driver.EMDriver` (restarts, convergence,
-tracing, telemetry) the dependency-aware estimators use; EM is the
+tracing) the dependency-aware estimators use; EM is the
 special case of an all-ones mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from repro.core.result import EstimationResult
 from repro.data.dense import DenseProblem
 from repro.data.protocol import Problem
 from repro.engine.backends import MaskedDenseBackend
-from repro.engine.driver import EMDriver, IterationCallback
+from repro.engine.driver import EMDriver
 from repro.engine.initialisation import support_initialisation
 from repro.utils.errors import ValidationError
 from repro.utils.rng import SeedLike
@@ -82,7 +81,6 @@ class _MaskedIndependentEM(FactFinder):
         init_strategy: str = "support",
         smoothing: float = 0.0,
         seed: SeedLike = None,
-        callbacks: Sequence[IterationCallback] = (),
     ):
         check_positive_int(max_iterations, "max_iterations")
         check_positive_int(n_restarts, "n_restarts")
@@ -103,7 +101,6 @@ class _MaskedIndependentEM(FactFinder):
         self.init_strategy = init_strategy
         self.smoothing = smoothing
         self._seed = seed
-        self.callbacks = tuple(callbacks)
 
     # Subclasses define which cells participate.
     def _mask(self, problem: DenseProblem) -> np.ndarray:
@@ -121,7 +118,6 @@ class _MaskedIndependentEM(FactFinder):
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
             n_restarts=self.n_restarts,
-            callbacks=self.callbacks,
         )
 
         def _init(index: int, rng: np.random.Generator) -> IndependentParameters:

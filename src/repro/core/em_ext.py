@@ -48,7 +48,7 @@ from repro.core.result import EstimationResult
 from repro.data.coerce import coerce_problem
 from repro.data.protocol import FORMAT_CSR, FORMAT_DENSE, Problem
 from repro.engine.backends import CSRBackend, DenseBackend, make_backend
-from repro.engine.driver import DriverOutcome, EMDriver, IterationCallback
+from repro.engine.driver import DriverOutcome, EMDriver
 from repro.engine.initialisation import staged_initialisation, support_initialisation
 from repro.utils.errors import DeadlineExceeded, ValidationError
 from repro.utils.rng import RandomState, SeedLike
@@ -170,12 +170,10 @@ class EMExtEstimator:
         *,
         seed: SeedLike = None,
         initial_parameters: Optional[SourceParameters] = None,
-        callbacks: Sequence[IterationCallback] = (),
     ):
         self.config = config or EMConfig()
         self._seed = seed
         self.initial_parameters = initial_parameters
-        self.callbacks = tuple(callbacks)
 
     # -- public API ------------------------------------------------------------
 
@@ -189,11 +187,6 @@ class EMExtEstimator:
         ``init_strategy="random"`` without explicit starting
         parameters), which only the dense backend supports; CSR input
         is then densified under the memory budget.
-
-        Callbacks receive the dense fit's :class:`IterationEvent` stream
-        after the lanes finish, in restart order, so an early-stop
-        request cannot reach them; each event's ``duration_seconds`` is
-        the shared pass's wall time.
         """
         # Usage errors surface here, eagerly; inside the restart loop the
         # driver would treat them as per-restart runtime faults.
@@ -221,14 +214,13 @@ class EMExtEstimator:
                 seeds=[self._seed],
                 config=self.config,
                 initial_parameters=[self.initial_parameters],
-                callbacks=self.callbacks,
             )[0]
         backend = make_backend(
             problem,
             smoothing=self.config.smoothing,
             epsilon=self.config.epsilon,
         )
-        driver = EMDriver.from_config(self.config, callbacks=self.callbacks)
+        driver = EMDriver.from_config(self.config)
         return _estimation_result(
             driver.fit(backend, self._initialiser(backend), self._seed)
         )
@@ -272,12 +264,11 @@ def _lane_candidates(
     indices: Sequence[int],
     init_errors: dict,
     n_restarts: int,
-    events: list,
 ) -> Iterator[Tuple[int, Optional[DriverOutcome], Optional[str]]]:
     """One problem's ``(index, outcome, error)`` triples, in restart order.
 
     Takes the problem's lanes from the shared ``lanes`` stream on the
-    first ``next`` and appends their telemetry to ``events``.
+    first ``next``.
     """
     by_index = {index: next(lanes) for index in indices}
     for index in range(n_restarts):
@@ -285,7 +276,6 @@ def _lane_candidates(
             yield index, None, init_errors[index]
             continue
         lane = by_index[index]
-        events.extend(lane.events)
         yield index, lane.outcome, lane.error
 
 
@@ -296,9 +286,8 @@ def _batch_lane_outcomes(
     *,
     initial_parameters: Optional[Sequence[Optional[SourceParameters]]] = None,
     budget: Optional["Deadline"] = None,
-    collect_events: bool = False,
-) -> List[Tuple[Optional[EstimationResult], list, Optional[Exception]]]:
-    """One ``(result, events, error)`` triple per problem, lane-batched.
+) -> List[Tuple[Optional[EstimationResult], Optional[Exception]]]:
+    """One ``(result, error)`` pair per problem, lane-batched.
 
     The dense EM-Ext engine behind :meth:`EMExtEstimator.fit` (a
     one-problem pack), :func:`fit_em_ext_batch` and the serving layer.
@@ -308,14 +297,11 @@ def _batch_lane_outcomes(
     :meth:`~repro.engine.driver.EMDriver.consume_candidates`, so each
     result is bit-for-bit what the scalar ``EMDriver.fit`` loop returns
     with the same seed.  A problem whose setup or selection raises
-    carries the exception in its own triple; a
+    carries the exception in its own pair; a
     :class:`~repro.utils.errors.DeadlineExceeded` from ``budget``
     propagates.  A one-problem pack runs its lanes inside that
     problem's ``em.fit`` span, as a scalar fit runs its ``em.run``.
 
-    ``events`` holds the problem's telemetry in restart order (empty
-    unless ``collect_events``), bitwise the scalar run's except
-    ``duration_seconds``, the shared pass's wall time.
     ``config.max_wall_seconds`` budgets the whole batch from before the
     first initialiser runs.  ``initial_parameters`` supplies one
     optional warm start per problem (the estimator's
@@ -389,31 +375,27 @@ def _batch_lane_outcomes(
                 tolerance=config.tolerance,
                 deadline=deadline,
                 budget=budget,
-                collect_events=collect_events,
             )
 
     lanes = run_lanes()
     if len(problems) > 1:
         # A shared pass belongs to no single problem's em.fit span.
         lanes = iter(list(lanes))
-    outcomes: List[Tuple[Optional[EstimationResult], list, Optional[Exception]]] = []
+    outcomes: List[Tuple[Optional[EstimationResult], Optional[Exception]]] = []
     for indices, init_errors, setup_error in staged:
         if setup_error is not None:
-            outcomes.append((None, [], setup_error))
+            outcomes.append((None, setup_error))
             continue
-        events: list = []
         try:
             outcome = driver.consume_candidates(
-                _lane_candidates(
-                    lanes, indices, init_errors, config.n_restarts, events
-                )
+                _lane_candidates(lanes, indices, init_errors, config.n_restarts)
             )
         except DeadlineExceeded:
             raise
         except Exception as error:
-            outcomes.append((None, events, error))
+            outcomes.append((None, error))
             continue
-        outcomes.append((_estimation_result(outcome), events, None))
+        outcomes.append((_estimation_result(outcome), None))
     return outcomes
 
 
@@ -424,7 +406,6 @@ def fit_em_ext_batch(
     config: Optional[EMConfig] = None,
     initial_parameters: Optional[Sequence[Optional[SourceParameters]]] = None,
     budget: Optional["Deadline"] = None,
-    callbacks: Sequence[IterationCallback] = (),
 ) -> List[EstimationResult]:
     """Fit EM-Ext on many same-shape problems as one batched tensor pass.
 
@@ -439,14 +420,7 @@ def fit_em_ext_batch(
     :class:`~repro.resilience.supervisor.Deadline` (the serving
     layer's drain budget).  Requires same-shape problems
     (CSR input is densified); a problem whose fit would raise re-raises
-    the same exception here, after earlier problems' telemetry has been
-    delivered.
-
-    ``callbacks`` receive each problem's :class:`IterationEvent` stream
-    after the batch completes, in problem-then-restart order; the
-    events carry the scalar run's deltas and log-likelihoods but the
-    shared pass's wall time, and an early-stop request cannot reach an
-    already-finished lane.
+    the same exception here.
     """
     config = config or EMConfig()
     outcomes = _batch_lane_outcomes(
@@ -455,14 +429,9 @@ def fit_em_ext_batch(
         config,
         initial_parameters=initial_parameters,
         budget=budget,
-        collect_events=bool(callbacks),
     )
     results: List[EstimationResult] = []
-    for result, events, error in outcomes:
-        if callbacks and events:
-            from repro.parallel.merge import replay_events
-
-            replay_events(events, callbacks)
+    for result, error in outcomes:
         if error is not None:
             raise error
         assert result is not None

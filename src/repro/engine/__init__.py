@@ -17,10 +17,8 @@ package is the single implementation they all delegate to:
 * :mod:`repro.engine.initialisation` — the ``support`` / ``staged`` /
   ``random`` warm starts, written once and parameterised by backend;
 * :mod:`repro.engine.driver` — the generic :class:`EMDriver` owning
-  restarts, tolerance/max-iteration convergence,
-  :class:`~repro.core.model.ParameterTrace` recording and
-  per-iteration telemetry callbacks (:class:`IterationEvent`,
-  :class:`TelemetryRecorder`);
+  restarts, tolerance/max-iteration convergence and
+  :class:`~repro.core.model.ParameterTrace` recording;
 * :mod:`repro.engine.batched` — the lane engine
   (:class:`BatchedDenseBackend`, :func:`run_batched_lanes`): B
   same-shape dense EM runs as one stacked ``(B, n, m)`` pass.
@@ -45,12 +43,7 @@ from repro.engine.batched import (
     BatchedSourceParameters,
     run_batched_lanes,
 )
-from repro.engine.driver import (
-    DriverOutcome,
-    EMDriver,
-    IterationEvent,
-    TelemetryRecorder,
-)
+from repro.engine.driver import DriverOutcome, EMDriver
 from repro.engine.health import (
     FAILED_STATUSES,
     RESTART_STATUSES,
@@ -79,14 +72,12 @@ __all__ = [
     "DriverOutcome",
     "EMDriver",
     "FAILED_STATUSES",
-    "IterationEvent",
     "MaskedDenseBackend",
     "RATE_NAMES",
     "RESTART_STATUSES",
     "RestartReport",
     "RunHealth",
     "SufficientStatistics",
-    "TelemetryRecorder",
     "log_likelihood_from_columns",
     "make_backend",
     "ratio_update",

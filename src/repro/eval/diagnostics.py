@@ -15,8 +15,8 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.result import EstimationResult
-from repro.engine.driver import IterationEvent
-from repro.resilience.policy import ACTION_RETRIED, ACTION_SKIPPED, TrialFailure
+from repro.observability import ObservabilitySession
+from repro.resilience.policy import ACTION_RETRIED, ACTION_SKIPPED
 from repro.utils.errors import ValidationError
 
 
@@ -133,21 +133,21 @@ def em_diagnostics(result: EstimationResult) -> EMDiagnostics:
 
 @dataclass(frozen=True)
 class TelemetrySummary:
-    """Aggregate view of per-iteration engine telemetry.
+    """Aggregate view of the EM loops an observability session recorded.
 
-    Summarises the :class:`~repro.engine.driver.IterationEvent` stream a
-    :class:`~repro.engine.driver.TelemetryRecorder` collects — across
-    one EM run or across every run of a harness experiment point.
+    Spans every fit the session saw — one estimator run or every trial
+    of a harness experiment point, serial or grafted from workers.  One
+    fit's per-iteration record is its ``result.trace``
+    (:func:`em_diagnostics`).
     """
 
     n_iterations: int
+    #: ``em.run`` spans: scalar EM loops plus lane packs (a pack of
+    #: many restarts or problems is one run).
+    n_runs: int
     total_seconds: float
     mean_iteration_seconds: float
-    max_iteration_seconds: float
-    final_delta: float
-    mean_log_likelihood_delta: float
-    #: Trial-level failure counts from the harness ledger (all zero for
-    #: fault-free runs, or when no ledger was passed in).
+    #: ``harness.failures.*`` counters (all zero for fault-free runs).
     n_trial_failures: int = 0
     n_retried: int = 0
     n_skipped: int = 0
@@ -160,36 +160,43 @@ class TelemetrySummary:
         return self.n_iterations / self.total_seconds
 
 
-def summarize_telemetry(
-    events: Sequence[IterationEvent],
-    failures: Sequence["TrialFailure"] = (),
-) -> TelemetrySummary:
-    """Condense recorded iteration events into a :class:`TelemetrySummary`.
+#: Counter prefix the harness files each failure-ledger entry under.
+_FAILURES = "harness.failures."
 
-    ``failures`` optionally takes a harness failure ledger
-    (:attr:`~repro.eval.harness.SimulationResult.failures`), folding
-    trial-level failure counts into the summary alongside the
-    per-iteration timings.
+
+def summarize_telemetry(session: ObservabilitySession) -> TelemetrySummary:
+    """Condense a session's EM counters and spans into a :class:`TelemetrySummary`.
+
+    Iterations come from the ``em.iterations`` counter, runs and time
+    from the finished ``em.run`` spans (which never nest, so their
+    durations add up without double counting), and failure counts from
+    the ``harness.failures.*`` counters.
     """
-    if not events:
-        raise ValidationError("no telemetry events recorded")
-    durations = np.array([e.duration_seconds for e in events], dtype=np.float64)
-    lls = np.array([e.log_likelihood for e in events], dtype=np.float64)
-    ll_deltas = np.diff(lls)
-    n_retried = sum(1 for f in failures if f.action == ACTION_RETRIED)
-    n_skipped = sum(1 for f in failures if f.action == ACTION_SKIPPED)
+    counters = session.metrics.counters
+    n_iterations = int(counters.get("em.iterations", 0))
+    if not n_iterations:
+        raise ValidationError("no EM iterations recorded in the session")
+    durations = []
+    pending = [session.tracer.root]
+    while pending:
+        span = pending.pop()
+        if span.name == "em.run" and span.end is not None:
+            durations.append(span.end - span.start)
+        pending.extend(span.children)
+    total_seconds = float(sum(durations))
+    failures = {
+        name[len(_FAILURES):]: int(value)
+        for name, value in counters.items()
+        if name.startswith(_FAILURES)
+    }
     return TelemetrySummary(
-        n_iterations=len(events),
-        total_seconds=float(durations.sum()),
-        mean_iteration_seconds=float(durations.mean()),
-        max_iteration_seconds=float(durations.max()),
-        final_delta=float(events[-1].delta),
-        mean_log_likelihood_delta=(
-            float(ll_deltas.mean()) if ll_deltas.size else 0.0
-        ),
-        n_trial_failures=len(failures),
-        n_retried=n_retried,
-        n_skipped=n_skipped,
+        n_iterations=n_iterations,
+        n_runs=len(durations),
+        total_seconds=total_seconds,
+        mean_iteration_seconds=total_seconds / n_iterations,
+        n_trial_failures=sum(failures.values()),
+        n_retried=failures.get(ACTION_RETRIED, 0),
+        n_skipped=failures.get(ACTION_SKIPPED, 0),
     )
 
 

@@ -28,7 +28,6 @@ from repro.bounds import (
 )
 from repro.core.em_ext import EMConfig
 from repro.datasets import DATASET_ORDER, get_spec, simulate_dataset
-from repro.engine.driver import TelemetryRecorder
 from repro.eval.harness import SweepResult, run_sweep
 from repro.parallel import ParallelConfig
 from repro.pipeline import SimulatedGrader, grade_top_k
@@ -255,7 +254,6 @@ def _estimator_sweep(
     n_trials: Optional[int] = None,
     seed: SeedLike = 0,
     include_optimal: bool = True,
-    telemetry: Optional[TelemetryRecorder] = None,
     parallel: Optional[ParallelConfig] = None,
 ) -> SweepResult:
     bound_config = (
@@ -272,7 +270,6 @@ def _estimator_sweep(
         n_trials=n_trials if n_trials is not None else estimator_trials(),
         include_optimal=include_optimal,
         bound_config=bound_config,
-        telemetry=telemetry,
         parallel=parallel,
     )
 

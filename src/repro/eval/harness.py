@@ -31,8 +31,8 @@ master-RNG draw — dataset generation and trial/optimal seed derivation
 order, so a parallel sweep is bit-for-bit identical to a serial one and
 composes unchanged with the failure policy, the ledger, and
 checkpoint/resume (the checkpoint loop sees the same ordered stream of
-completed trials).  Worker-side telemetry events are replayed into the
-parent's recorder in that same order.
+completed trials).  When the parent observes, each worker's spans and
+metrics are grafted into the parent's session in that same order.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ from repro.bounds import (
 from repro.core.em_ext import EMConfig
 from repro.data.coerce import coerce_problem
 from repro.data.protocol import FORMATS, FORMAT_DENSE
-from repro.engine.driver import TelemetryRecorder
 from repro.eval.metrics import ClassificationMetrics, score_result
-from repro.parallel import ParallelConfig, parallel_imap, replay_events
+from repro.parallel import ParallelConfig, parallel_imap
 from repro.resilience.checkpoint import (
     load_checkpoint,
     save_checkpoint,
@@ -215,7 +214,6 @@ class _TrialSpec:
     em_config: Optional[EMConfig]
     bound_config: GibbsConfig
     exact_limit: int
-    record_events: bool
     bound_deadline_seconds: Optional[float] = None
     #: Set when the parent has an observability session open and the
     #: trials run in workers: each worker collects its own session and
@@ -225,21 +223,18 @@ class _TrialSpec:
 
 @dataclass
 class _TrialOutcome:
-    """What one trial produced: metrics, ledger entries, telemetry."""
+    """What one trial produced: metrics and ledger entries."""
 
     trial: int
     metrics: List  # [(name, Optional[ClassificationMetrics]), ...]
     failures: List[TrialFailure]
-    events: List
     #: Worker-side observability payload (empty on the serial path,
     #: where records land in the parent's ambient session directly).
     spans: List = field(default_factory=list)
     obs_metrics: Optional[dict] = None
 
 
-def _run_trial(
-    task: _TrialTask, spec: _TrialSpec, telemetry=None, breakers=None
-) -> _TrialOutcome:
+def _run_trial(task: _TrialTask, spec: _TrialSpec, breakers=None) -> _TrialOutcome:
     """Fit and score every algorithm of one trial (runs in a worker).
 
     Failure handling is worker-local: under ``skip``/``retry`` the
@@ -255,8 +250,6 @@ def _run_trial(
     """
     problem = task.problem
     blind = problem.without_truth()
-    recorder = TelemetryRecorder() if spec.record_events else None
-    callbacks = telemetry if telemetry is not None else recorder
     failures: List[TrialFailure] = []
     metrics_by_name = []
 
@@ -289,7 +282,7 @@ def _run_trial(
         for name in spec.algorithms:
 
             def _fit_and_score(fit_seed: int, name: str = name) -> ClassificationMetrics:
-                finder = _make(name, fit_seed, spec.em_config, callbacks)
+                finder = _make(name, fit_seed, spec.em_config)
                 result = finder.fit(blind)
                 if not np.all(np.isfinite(result.scores)):
                     raise DataError(
@@ -316,7 +309,6 @@ def _run_trial(
         trial=task.trial,
         metrics=metrics_by_name,
         failures=failures,
-        events=list(recorder.events) if recorder is not None else [],
     )
 
 
@@ -326,8 +318,7 @@ def _trial_worker(payload) -> _TrialOutcome:
     With ``spec.record_observability`` set the trial runs under its own
     worker session (never the forked copy of the parent's) and the
     outcome carries the session's span trees and metrics snapshot for
-    in-order replay in the parent — the same discipline as telemetry
-    events.
+    in-order replay in the parent.
     """
     task, spec = payload
     if spec.record_observability:
@@ -371,7 +362,6 @@ def _timed_out_outcome(index, payload, error) -> _TrialOutcome:
             )
             for name in names
         ],
-        events=[],
     )
 
 
@@ -385,7 +375,6 @@ def run_simulation(
     bound_config: Optional[GibbsConfig] = None,
     em_config: Optional[EMConfig] = None,
     exact_limit: int = 20,
-    telemetry: Optional[TelemetryRecorder] = None,
     failure_policy: Optional[FailurePolicy] = None,
     checkpoint_path: Optional[str] = None,
     checkpoint_interval: int = 1,
@@ -399,11 +388,6 @@ def run_simulation(
     ``exact_limit`` selects the bound backend: exact enumeration up to
     that many sources, Gibbs above (both bounded by
     :data:`MAX_EXACT_SOURCES`).
-
-    ``telemetry`` (a :class:`~repro.engine.driver.TelemetryRecorder`, or
-    any per-iteration callback) is attached to every EM-family estimator
-    the harness constructs, so iteration timings and log-likelihood
-    deltas accumulate across all trials of the experiment point.
 
     ``failure_policy`` governs per-(trial, algorithm) failures; see
     :class:`~repro.resilience.policy.FailurePolicy`.  The default
@@ -450,9 +434,9 @@ def run_simulation(
     continues; under ``fail_fast`` the
     :class:`~repro.parallel.WorkerTimeoutError` propagates.
 
-    Each dense ``em-ext`` fit runs its restarts as the lanes of one
-    tensor pass (:meth:`repro.core.em_ext.EMExtEstimator.fit`), so its
-    telemetry reaches ``telemetry`` after the fit, not live.
+    Iteration counts and ``em.run`` timings across every trial are
+    recorded in the active observability session, serial or parallel
+    (:func:`repro.eval.diagnostics.summarize_telemetry` condenses them).
     """
     if n_trials <= 0:
         raise ValidationError(f"n_trials must be positive, got {n_trials}")
@@ -548,7 +532,6 @@ def run_simulation(
         em_config=em_config,
         bound_config=bound_config,
         exact_limit=exact_limit,
-        record_events=parallel is not None and telemetry is not None,
         bound_deadline_seconds=bound_deadline_seconds,
         record_observability=parallel is not None and observability.enabled(),
     )
@@ -557,9 +540,7 @@ def run_simulation(
         if breaker_config is not None:
             names = list(algorithms) + ([OPTIMAL_KEY] if include_optimal else [])
             breakers = {name: CircuitBreaker(breaker_config) for name in names}
-        # Serial path: the estimators call the caller's telemetry
-        # callback directly.
-        outcomes = (_run_trial(task, spec, telemetry, breakers) for task in tasks)
+        outcomes = (_run_trial(task, spec, breakers) for task in tasks)
     else:
         on_timeout = (
             _timed_out_outcome
@@ -574,13 +555,11 @@ def run_simulation(
         )
     # The consumption loop drives the (lazy) serial generator or drains
     # the pool, so both paths' trial spans land under this one — worker
-    # trees are grafted here, in trial order, like telemetry events.
+    # trees are grafted here, in trial order.
     with observability.span(
         "harness.run_simulation", n_trials=n_trials, n_tasks=len(tasks)
     ):
         for outcome in outcomes:
-            if spec.record_events:
-                replay_events(outcome.events, (telemetry,))
             if spec.record_observability:
                 observability.graft(outcome.spans)
                 observability.merge_metrics(outcome.obs_metrics)
@@ -656,17 +635,11 @@ def _attempt(
     return None
 
 
-def _make(
-    name: str,
-    seed: int,
-    em_config: Optional[EMConfig],
-    telemetry: Optional[TelemetryRecorder] = None,
-):
-    callbacks = (telemetry,) if telemetry is not None else ()
+def _make(name: str, seed: int, em_config: Optional[EMConfig]):
     if name == "em-ext":
-        return make_fact_finder(name, seed=seed, config=em_config, callbacks=callbacks)
+        return make_fact_finder(name, seed=seed, config=em_config)
     if name in ("em", "em-social"):
-        kwargs = {"seed": seed, "callbacks": callbacks}
+        kwargs = {"seed": seed}
         if em_config is not None:
             kwargs["smoothing"] = em_config.smoothing
         return make_fact_finder(name, **kwargs)

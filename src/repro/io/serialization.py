@@ -44,7 +44,14 @@ def _write_json(path: PathLike, payload: dict) -> None:
 
 def _read_json(path: PathLike) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except ValueError as error:
+            raise DataError(f"{path}: invalid JSON: {error}") from error
+    if not isinstance(payload, dict):
+        raise DataError(
+            f"{path}: expected a JSON object, got {type(payload).__name__}"
+        )
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(
@@ -52,6 +59,23 @@ def _read_json(path: PathLike) -> dict:
             f"(expected {FORMAT_VERSION})"
         )
     return payload
+
+
+def _field(path: PathLike, payload: dict, key: str):
+    """``payload[key]``; a missing field is a :class:`DataError`."""
+    try:
+        return payload[key]
+    except KeyError:
+        raise DataError(f"{path}: missing field {key!r}") from None
+
+
+def _array(path: PathLike, payload: dict, key: str, dtype) -> np.ndarray:
+    """``payload[key]`` as an array; a missing or ragged field is a :class:`DataError`."""
+    value = _field(path, payload, key)
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as error:
+        raise DataError(f"{path}: malformed field {key!r}: {error}") from error
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +107,16 @@ def load_problem(path: PathLike) -> SensingProblem:
     if payload.get("kind") != "sensing_problem":
         raise DataError(f"{path}: not a sensing-problem file")
     claims = SourceClaimMatrix(
-        np.asarray(payload["claims"], dtype=np.int8),
+        _array(path, payload, "claims", np.int8),
         source_ids=payload.get("source_ids"),
         assertion_ids=payload.get("assertion_ids"),
     )
-    dependency = DependencyMatrix(np.asarray(payload["dependency"], dtype=np.int8))
+    dependency = DependencyMatrix(_array(path, payload, "dependency", np.int8))
     truth = payload.get("truth")
     return SensingProblem(
         claims=claims,
         dependency=dependency,
-        truth=None if truth is None else np.asarray(truth, dtype=np.int8),
+        truth=None if truth is None else _array(path, payload, "truth", np.int8),
     )
 
 
@@ -126,9 +150,9 @@ def load_result(path: PathLike) -> FactFindingResult:
     if payload.get("kind") != "fact_finding_result":
         raise DataError(f"{path}: not a fact-finding-result file")
     base = {
-        "algorithm": payload["algorithm"],
-        "scores": np.asarray(payload["scores"], dtype=np.float64),
-        "decisions": np.asarray(payload["decisions"], dtype=np.int8),
+        "algorithm": _field(path, payload, "algorithm"),
+        "scores": _array(path, payload, "scores", np.float64),
+        "decisions": _array(path, payload, "decisions", np.int8),
     }
     estimation = payload.get("estimation")
     if estimation is None:
@@ -139,9 +163,9 @@ def load_result(path: PathLike) -> FactFindingResult:
         parameters=(
             SourceParameters.from_dict(parameters) if parameters else None
         ),
-        log_likelihood=estimation["log_likelihood"],
-        converged=estimation["converged"],
-        n_iterations=estimation["n_iterations"],
+        log_likelihood=_field(path, estimation, "log_likelihood"),
+        converged=_field(path, estimation, "converged"),
+        n_iterations=_field(path, estimation, "n_iterations"),
     )
 
 
@@ -179,6 +203,11 @@ def load_tweets(path: PathLike) -> List[Tweet]:
                 record = json.loads(line)
             except json.JSONDecodeError as error:
                 raise DataError(f"{path}:{line_number}: invalid JSON") from error
+            if not isinstance(record, dict):
+                raise DataError(
+                    f"{path}:{line_number}: expected a JSON object, got "
+                    f"{type(record).__name__}"
+                )
             try:
                 tweets.append(
                     Tweet(
@@ -197,6 +226,10 @@ def load_tweets(path: PathLike) -> List[Tweet]:
             except KeyError as error:
                 raise DataError(
                     f"{path}:{line_number}: missing field {error}"
+                ) from error
+            except (TypeError, ValueError) as error:
+                raise DataError(
+                    f"{path}:{line_number}: malformed field: {error}"
                 ) from error
     return tweets
 

@@ -63,28 +63,36 @@ def _optional_ids(archive, key: str) -> Optional[List[str]]:
 
 def load_sparse_problem(path: PathLike) -> CsrProblem:
     """Read a sparse problem written by :func:`save_sparse_problem`."""
+    with np.load(path, allow_pickle=False) as archive:
+        try:
+            return _read_archive(path, archive)
+        except KeyError as error:
+            # NpzFile names the absent member in its KeyError.
+            raise DataError(f"{path}: incomplete archive: {error}") from error
+
+
+def _read_archive(path: PathLike, archive) -> CsrProblem:
     from scipy import sparse
 
-    with np.load(path, allow_pickle=False) as archive:
-        magic = str(archive["magic"])
-        if magic != _MAGIC:
-            raise DataError(f"{path}: not a sparse-problem archive ({magic!r})")
-        shape = tuple(int(v) for v in archive["shape"])
+    magic = str(archive["magic"])
+    if magic != _MAGIC:
+        raise DataError(f"{path}: not a sparse-problem archive ({magic!r})")
+    shape = tuple(int(v) for v in archive["shape"])
 
-        def _matrix(prefix: str):
-            indptr = archive[f"{prefix}_indptr"]
-            indices = archive[f"{prefix}_indices"]
-            data = np.ones(indices.shape[0], dtype=np.int8)
-            return sparse.csr_matrix((data, indices, indptr), shape=shape)
+    def _matrix(prefix: str):
+        indptr = archive[f"{prefix}_indptr"]
+        indices = archive[f"{prefix}_indices"]
+        data = np.ones(indices.shape[0], dtype=np.int8)
+        return sparse.csr_matrix((data, indices, indptr), shape=shape)
 
-        truth = archive["truth"] if bool(archive["has_truth"]) else None
-        return CsrProblem(
-            claims=_matrix("claims"),
-            dependency=_matrix("dependency"),
-            truth=truth,
-            source_ids=_optional_ids(archive, "source_ids"),
-            assertion_ids=_optional_ids(archive, "assertion_ids"),
-        )
+    truth = archive["truth"] if bool(archive["has_truth"]) else None
+    return CsrProblem(
+        claims=_matrix("claims"),
+        dependency=_matrix("dependency"),
+        truth=truth,
+        source_ids=_optional_ids(archive, "source_ids"),
+        assertion_ids=_optional_ids(archive, "assertion_ids"),
+    )
 
 
 __all__ = ["load_sparse_problem", "save_sparse_problem"]

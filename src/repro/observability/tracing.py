@@ -8,11 +8,12 @@ synthetic ``"session"`` span opened at construction, closed by
 
 Worker processes run their own tracer and ship their finished span
 trees back to the parent (spans are plain picklable dataclasses); the
-parent *grafts* them under its current span in task order — the same
-replay discipline the telemetry events use.  Grafted spans keep their
-originating ``pid``, and because ``perf_counter`` clocks are not
-comparable across processes, well-formedness (children nested inside
-parent intervals) is only enforced between spans of the same pid —
+parent *grafts* them under its current span in task order, so a
+parallel run leaves the same tree shape as a serial one.  Grafted
+spans keep their originating ``pid``, and because ``perf_counter``
+clocks are not comparable across processes, well-formedness (children
+nested inside parent intervals) is only enforced between spans of the
+same pid —
 :func:`validate_span_tree` encodes exactly that contract and is what
 the transparency test wall runs against every emitted tree.
 """

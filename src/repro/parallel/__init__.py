@@ -13,9 +13,12 @@ one tensor pass, see :mod:`repro.engine.batched`):
   ``timeout_seconds``);
 * :mod:`repro.parallel.executor` — :func:`parallel_imap` /
   :func:`parallel_map`, the ordered streaming fan-out with worker-fault
-  propagation and a pool-killing timeout guard;
-* :mod:`repro.parallel.merge` — merging per-worker failure ledgers and
-  telemetry event streams back into the parent in serial order.
+  propagation and a pool-killing timeout guard.
+
+Worker records come home one way: a worker returns its results and
+failure ledger entries in its task's outcome, plus (when the parent
+observes) its own observability session's span trees and metrics
+snapshot, which the parent grafts and merges in task order.
 
 **Determinism contract.**  Every parallel entry point draws its random
 numbers in the *parent*, in the same order as the serial code path
@@ -31,15 +34,11 @@ Entry points: :func:`repro.eval.harness.run_simulation` (``parallel=``),
 
 from repro.parallel.config import ParallelConfig, cpu_count
 from repro.parallel.executor import WorkerTimeoutError, parallel_imap, parallel_map
-from repro.parallel.merge import merge_counters, merge_ledgers, replay_events
 
 __all__ = [
     "ParallelConfig",
     "WorkerTimeoutError",
     "cpu_count",
-    "merge_counters",
-    "merge_ledgers",
     "parallel_imap",
     "parallel_map",
-    "replay_events",
 ]

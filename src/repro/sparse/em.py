@@ -12,14 +12,14 @@ estimators cannot drift apart.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.em_ext import EMConfig
 from repro.core.result import EstimationResult
 from repro.data.coerce import coerce_problem
 from repro.data.protocol import FORMAT_CSR, Problem
 from repro.engine.backends import CSRBackend
-from repro.engine.driver import EMDriver, IterationCallback
+from repro.engine.driver import EMDriver
 from repro.engine.initialisation import staged_initialisation, support_initialisation
 from repro.utils.errors import ValidationError
 
@@ -38,14 +38,8 @@ class SparseEMExt:
     #: Storage formats the numerics run on (data-layer declaration).
     accepts = (FORMAT_CSR,)
 
-    def __init__(
-        self,
-        config: Optional[EMConfig] = None,
-        *,
-        callbacks: Sequence[IterationCallback] = (),
-    ):
+    def __init__(self, config: Optional[EMConfig] = None):
         self.config = config or EMConfig()
-        self.callbacks = tuple(callbacks)
         if self.config.init_strategy == "random":
             raise ValidationError(
                 "SparseEMExt supports init_strategy 'staged' or 'support' only"
@@ -71,7 +65,6 @@ class SparseEMExt:
         driver = EMDriver(
             max_iterations=self.config.max_iterations,
             tolerance=self.config.tolerance,
-            callbacks=self.callbacks,
         )
         outcome = driver.run(backend, params)
         return EstimationResult(

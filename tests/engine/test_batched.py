@@ -25,7 +25,7 @@ from repro.core.em_ext import (
     _lane_candidates,
 )
 from repro.core.likelihood import column_log_likelihoods
-from repro.engine import EMDriver, TelemetryRecorder
+from repro.engine import EMDriver
 from repro.engine.backends import DenseBackend, _check_rates_finite
 from repro.engine.batched import (
     _RATES_FAULT,
@@ -50,11 +50,11 @@ def _problem(n_sources=10, n_assertions=16, seed=SEED):
     return generate_dataset(config, seed=seed).problem.without_truth()
 
 
-def _scalar_reference(problem, config, seed, *, initial_parameters=None, callbacks=()):
+def _scalar_reference(problem, config, seed, *, initial_parameters=None):
     """The scalar ``EMDriver.fit`` loop a dense EM-Ext fit must equal."""
     backend = DenseBackend(problem, smoothing=config.smoothing, epsilon=config.epsilon)
     estimator = EMExtEstimator(config, seed=seed, initial_parameters=initial_parameters)
-    driver = EMDriver.from_config(config, callbacks=callbacks)
+    driver = EMDriver.from_config(config)
     return _estimation_result(driver.fit(backend, estimator._initialiser(backend), seed))
 
 
@@ -277,33 +277,21 @@ class TestRunBatchedLanes:
         # retire on different passes; 5 random starts guarantee it.
         assert len(iteration_counts) > 1
 
-    def test_collect_events_gating_is_numerics_neutral(self):
+    def test_repeated_runs_are_bitwise_identical(self):
         problem = _problem()
         backend = DenseBackend(problem)
         inits = _random_params(problem.n_sources, SEED, 3)
 
-        def run(collect_events):
+        def run():
             return run_batched_lanes(
                 _shared(backend, 3),
                 inits,
                 max_iterations=40,
                 tolerance=1e-6,
-                collect_events=collect_events,
             )
 
-        with_events = run(True)
-        without = run(False)
-        for got, expected in zip(without, with_events):
-            assert got.events == []
-            assert expected.events, "collect_events=True must build events"
+        for got, expected in zip(run(), run()):
             _assert_outcomes_bitwise(expected.outcome, got.outcome)
-            # Events carry the trace's numbers, in iteration order.
-            assert [e.log_likelihood for e in expected.events] == list(
-                expected.outcome.trace.log_likelihoods
-            )
-            assert [e.delta for e in expected.events] == list(
-                expected.outcome.trace.parameter_deltas
-            )
 
     def test_lane_count_mismatch_rejected(self):
         problem = _problem()
@@ -380,7 +368,7 @@ class TestRestartModeParity:
         indices = [index for index, _ in prepared]
         with pytest.raises(ConvergenceError) as batched:
             driver.consume_candidates(
-                _lane_candidates(iter(lanes), indices, init_errors, 3, [])
+                _lane_candidates(iter(lanes), indices, init_errors, 3)
             )
         assert str(serial.value) == str(batched.value)
         assert "every EM restart failed" in str(batched.value)
@@ -444,18 +432,6 @@ class TestRestartModeParity:
         _assert_results_bitwise(_scalar_reference(problem, config, SEED), batched)
         counters = session.metrics.snapshot()["counters"]
         assert counters.get("engine.batched.lanes") == 3
-
-    def test_telemetry_stream_matches_serial(self):
-        problem = _problem()
-        config = EMConfig(n_restarts=3, init_strategy="random")
-        serial, batched = TelemetryRecorder(), TelemetryRecorder()
-        _scalar_reference(problem, config, SEED, callbacks=(serial,))
-        EMExtEstimator(config, seed=SEED, callbacks=(batched,)).fit(problem)
-
-        def keys(recorder):
-            return [(e.iteration, e.delta, e.log_likelihood) for e in recorder.events]
-
-        assert keys(serial) == keys(batched)
 
 
 class TestScalarReferenceWall:
@@ -545,25 +521,6 @@ class TestFitEmExtBatch:
         for problem, seed, result in zip(problems, seeds, batched):
             serial = EMExtEstimator(config, seed=seed).fit(problem)
             _assert_results_bitwise(serial, result)
-
-    def test_callbacks_replay_each_problems_stream(self):
-        problems = [_problem(seed=SEED + k) for k in range(2)]
-        seeds = [SEED, SEED + 1]
-        config = EMConfig(n_restarts=2, init_strategy="random")
-        recorder = TelemetryRecorder()
-        fit_em_ext_batch(
-            problems, seeds=seeds, config=config, callbacks=(recorder,)
-        )
-        serial_events = []
-        for problem, seed in zip(problems, seeds):
-            solo = TelemetryRecorder()
-            EMExtEstimator(config, seed=seed, callbacks=(solo,)).fit(problem)
-            serial_events.extend(
-                (e.iteration, e.delta, e.log_likelihood) for e in solo.events
-            )
-        assert [
-            (e.iteration, e.delta, e.log_likelihood) for e in recorder.events
-        ] == serial_events
 
     def test_seed_count_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -54,6 +54,29 @@ class TestProblemRoundTrip:
         with pytest.raises(DataError):
             load_problem(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            json.dumps([1, 2, 3]),
+            json.dumps({"format_version": 1, "kind": "sensing_problem"}),
+            json.dumps(
+                {
+                    "format_version": 1,
+                    "kind": "sensing_problem",
+                    "claims": [[1, 0], [1]],
+                    "dependency": [[0, 0], [0, 0]],
+                }
+            ),
+        ],
+        ids=["invalid-json", "top-level-list", "no-claims", "ragged-claims"],
+    )
+    def test_malformed_file_is_a_data_error(self, tmp_path, text):
+        path = tmp_path / "bogus.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match="bogus.json"):
+            load_problem(path)
+
 
 class TestResultRoundTrip:
     def test_plain_result(self, tmp_path):
@@ -87,6 +110,21 @@ class TestResultRoundTrip:
         with pytest.raises(DataError):
             load_result(path)
 
+    def test_missing_algorithm(self, tmp_path):
+        path = tmp_path / "result.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format_version": 1,
+                    "kind": "fact_finding_result",
+                    "scores": [0.5],
+                    "decisions": [1],
+                }
+            )
+        )
+        with pytest.raises(DataError, match="result.json.*'algorithm'"):
+            load_result(path)
+
 
 class TestTweetsRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -114,6 +152,23 @@ class TestTweetsRoundTrip:
         path = tmp_path / "tweets.jsonl"
         path.write_text(json.dumps({"tweet_id": 0}) + "\n")
         with pytest.raises(DataError):
+            load_tweets(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"tweet_id": "x", "user": 1, "time": 0.5, "text": "t", "assertion": 0},
+            [1, 2, 3],
+        ],
+        ids=["non-integer-id", "list-line"],
+    )
+    def test_malformed_record_names_the_line(self, tmp_path, record):
+        path = tmp_path / "tweets.jsonl"
+        tweet = Tweet(tweet_id=0, user=1, time=0.5, text="x", assertion=0)
+        save_tweets([tweet], path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with pytest.raises(DataError, match="tweets.jsonl:2:"):
             load_tweets(path)
 
     def test_deterministic_bytes(self, tmp_path):

@@ -57,3 +57,13 @@ class TestRoundTrip:
         np.savez(path, magic=np.array("something-else"))
         with pytest.raises(DataError):
             load_sparse_problem(path)
+
+    @pytest.mark.parametrize("member", ["magic", "has_truth"])
+    def test_missing_member_rejected(self, sparse_problem, tmp_path, member):
+        path = tmp_path / "problem.npz"
+        save_sparse_problem(sparse_problem, path)
+        with np.load(path) as archive:
+            members = {key: archive[key] for key in archive.files if key != member}
+        np.savez(path, **members)
+        with pytest.raises(DataError, match=f"problem.npz.*{member}"):
+            load_sparse_problem(path)

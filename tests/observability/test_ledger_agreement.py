@@ -1,8 +1,8 @@
 """Ledgers and metrics counters must never disagree.
 
 The repo keeps three truthful records of what went wrong or was
-attempted: the harness failure ledger (summarised by
-:class:`~repro.eval.diagnostics.TelemetrySummary`), the cascade's
+attempted: the harness failure ledger
+(:attr:`~repro.eval.harness.SimulationResult.failures`), the cascade's
 :class:`~repro.bounds.cascade.DegradationReport`, and the circuit
 breaker's snapshot.  Each is produced at the same code points that
 increment the corresponding metrics counters, so the two views must
@@ -13,7 +13,6 @@ import pytest
 
 from repro import observability
 from repro.bounds import bound_cascade
-from repro.engine import TelemetryRecorder
 from repro.eval import run_simulation
 from repro.eval.diagnostics import summarize_telemetry
 from repro.resilience import FailurePolicy, InjectedFault, temporary_algorithm
@@ -42,7 +41,6 @@ class _FlakySeedFinder:
 
 class TestTelemetrySummaryAgreement:
     def test_retry_and_skip_counts_match_counters(self):
-        recorder = TelemetryRecorder()
         with temporary_algorithm(_FlakySeedFinder):
             with observability.observe() as session:
                 result = run_simulation(
@@ -51,24 +49,26 @@ class TestTelemetrySummaryAgreement:
                     n_trials=6,
                     seed=8,
                     include_optimal=False,
-                    telemetry=recorder,
                     failure_policy=FailurePolicy.retry(max_attempts=2),
                 )
-        summary = summarize_telemetry(recorder.events, result.failures)
         counters = session.metrics.snapshot()["counters"]
+        ledger = {}
+        for failure in result.failures:
+            ledger[failure.action] = ledger.get(failure.action, 0) + 1
         # The run must actually exercise both actions.
-        assert summary.n_retried > 0
-        assert summary.n_skipped > 0
-        assert counters["harness.failures.retried"] == summary.n_retried
-        assert counters["harness.failures.skipped"] == summary.n_skipped
-        assert (
-            summary.n_trial_failures
-            == summary.n_retried + summary.n_skipped
-        )
-        # The counter sees every EM loop in the process (including the
-        # chaos finder's internal delegate fits, which carry no
-        # telemetry callback), so it can only be >= the recorder's view.
-        assert counters["em.iterations"] >= summary.n_iterations
+        assert set(ledger) == {"retried", "skipped"}
+        recorded = {
+            name[len("harness.failures."):]: value
+            for name, value in counters.items()
+            if name.startswith("harness.failures.")
+        }
+        assert recorded == ledger
+        # The telemetry summary reads the same counters.
+        summary = summarize_telemetry(session)
+        assert summary.n_retried == ledger["retried"]
+        assert summary.n_skipped == ledger["skipped"]
+        assert summary.n_trial_failures == len(result.failures)
+        assert summary.n_iterations == counters["em.iterations"]
         assert counters["harness.trials"] == 6
 
 

@@ -73,6 +73,12 @@ class TestEstimate:
         code = main(["estimate", "--problem", str(tmp_path / "missing.json")])
         assert code == 1
 
+    def test_malformed_problem_file(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"format_version": 1, "kind": "sensing_problem"}')
+        assert main(["estimate", "--problem", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_batched_restarts_match_serial(self, problem_file, tmp_path):
         """--restarts runs lanes whose output equals the scalar restart loop."""
         from repro.core.em_ext import EMConfig, EMExtEstimator

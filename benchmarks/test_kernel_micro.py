@@ -12,7 +12,7 @@ earns:
 * dense E-step / M-step / full EM-Ext fits — **bit for bit** (the
   table-gather kernels select the identical float values with the same
   reduction order);
-* exact bound — ``1e-10`` (Gray-code enumeration reorders the float
+* exact bound — ``1e-10`` (the split enumeration reorders the float
   summation, nothing else);
 * Gibbs bound — ``0.02`` (the blocked sampler draws a different, equally
   valid chain than the historical scan sampler).

@@ -6,7 +6,7 @@ spanning a huge cost spectrum:
 ========  =======================================  ==================
 tier      evaluator                                cost
 ========  =======================================  ==================
-exact     :func:`repro.bounds.exact.exact_bound`   ``O(2^n · K)``
+exact     :func:`repro.bounds.exact.exact_bound`   ``O(K·2^(n/2)·n)``
 gibbs     :func:`repro.bounds.gibbs.gibbs_bound`   sampling run
 analytic  :func:`~repro.bounds.analytic.
           bhattacharyya_bounds` (upper bracket)    closed form
@@ -63,20 +63,24 @@ from repro.utils.rng import SeedLike
 #: Ladder order, best tier first.
 CASCADE_TIERS = ("exact", "gibbs", "analytic")
 
-#: Conservative Gray-code throughput (pattern·column evaluations per
-#: second) used to predict whether the exact tier fits the remaining
-#: wall budget.  Deliberately pessimistic — a wrong "too slow" costs
-#: accuracy, a wrong "fast enough" costs the whole budget before the
-#: cooperative check can fire.
-EXACT_PATTERNS_PER_SECOND = 2e6
+#: Conservative throughput of the exact tier's split sweep, in
+#: ``K · 2^⌈n/2⌉ · ⌈n/2⌉`` work units (sort and binary-search steps)
+#: per second, used to predict whether the exact tier fits the
+#: remaining wall budget.  Measured at about 1e8 units/s for
+#: n = 24..30 and K = 10..44 on a 2-CPU x86 container; set five times
+#: lower on purpose — a wrong "too slow" costs accuracy, a wrong "fast
+#: enough" costs the whole budget before the cooperative check can fire.
+EXACT_SPLIT_UNITS_PER_SECOND = 2e7
 
 #: Rate clamp for the sanitised analytic floor.
 _ANALYTIC_EPS = 1e-9
 
 
 def estimate_exact_seconds(n_sources: int, n_columns: int) -> float:
-    """Predicted wall cost of the exact tier's ``O(2^n · K)`` sweep."""
-    return (float(2**n_sources) * max(n_columns, 1)) / EXACT_PATTERNS_PER_SECOND
+    """Predicted wall cost of the exact tier's ``O(K · 2^(n/2) · n)`` sweep."""
+    half = (n_sources + 1) // 2
+    units = float(max(n_columns, 1)) * float(2**half) * max(half, 1)
+    return units / EXACT_SPLIT_UNITS_PER_SECOND
 
 
 @dataclass(frozen=True)
@@ -267,9 +271,9 @@ def bound_cascade(
 
     Tier selection is two-stage.  A *cost model* first rules tiers out
     without running them: the exact tier is skipped above
-    :data:`MAX_EXACT_SOURCES` sources, when its predicted ``2^n · K``
-    sweep (at :data:`EXACT_PATTERNS_PER_SECOND`) exceeds the remaining
-    wall budget, or when its low-table footprint
+    :data:`MAX_EXACT_SOURCES` sources, when its predicted split sweep
+    (:func:`estimate_exact_seconds`) exceeds the remaining wall budget,
+    or when its half-table footprint
     (:func:`~repro.kernels.enumeration.table_bytes_estimate`) exceeds
     the deadline's memory budget.  Surviving tiers then *run* under the
     deadline; one that raises
@@ -428,7 +432,7 @@ def _skip_reason(
                 needed = table_bytes_estimate(n, k)
                 if needed > deadline.memory_bytes:
                     return (
-                        f"low table needs ~{needed / 1e6:.0f} MB but memory "
+                        f"half tables need ~{needed / 1e6:.0f} MB but memory "
                         f"budget is {deadline.memory_bytes / 1e6:.0f} MB"
                     )
     return ""
@@ -438,7 +442,7 @@ __all__ = [
     "CASCADE_TIERS",
     "CascadeOutcome",
     "DegradationReport",
-    "EXACT_PATTERNS_PER_SECOND",
+    "EXACT_SPLIT_UNITS_PER_SECOND",
     "TierAttempt",
     "analytic_tier",
     "bound_cascade",

@@ -138,17 +138,27 @@ def pattern_log_joint(
 ) -> Tuple[float, float]:
     """Log joints ``(log P(pattern, C=1), log P(pattern, C=0))`` for one column.
 
-    ``pattern`` is an ``(n,)`` 0/1 vector of hypothetical claims.  Used
-    by the error-bound machinery, which reasons about *possible* claim
-    patterns rather than observed ones.
+    ``pattern`` is an ``(n,)`` 0/1 vector of hypothetical claims and
+    ``d_column`` the column's 0/1 dependency flags.  Each source's log
+    rate is selected, not multiplied by a 0/1 weight, so a rate exactly
+    at 0/1 makes an impossible pattern ``-inf`` rather than NaN — this
+    is the brute-force oracle the exact bound is tested against.
     """
-    log_true, log_false = column_log_likelihoods(
-        np.asarray(pattern, dtype=np.float64), np.asarray(d_column, dtype=np.float64), params
-    )
+    claims = np.asarray(pattern, dtype=np.float64)
+    d = np.asarray(d_column, dtype=np.float64)
+    if claims.shape != d.shape or claims.shape != (params.n_sources,):
+        raise ValidationError(
+            f"pattern {claims.shape} and d_column {d.shape} must both be "
+            f"({params.n_sources},)"
+        )
+    rate_true = np.where(d != 0, params.f, params.a)
+    rate_false = np.where(d != 0, params.g, params.b)
     with np.errstate(divide="ignore"):
+        log_true = np.where(claims != 0, np.log(rate_true), np.log1p(-rate_true))
+        log_false = np.where(claims != 0, np.log(rate_false), np.log1p(-rate_false))
         return (
-            float(log_true + np.log(params.z)),
-            float(log_false + np.log1p(-params.z)),
+            float(log_true.sum() + np.log(params.z)),
+            float(log_false.sum() + np.log1p(-params.z)),
         )
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.baselines import EMPIRICAL_ALGORITHMS, make_fact_finder
 from repro.bounds import (
+    MAX_EXACT_SOURCES,
     BoundResult,
     GibbsConfig,
     bound_from_pattern_table,
@@ -210,14 +211,15 @@ def figure6_bound_timing(
 ) -> List[TimingRow]:
     """Figure 6: computation time of exact vs approximate bound.
 
-    Exact enumeration is skipped above ``exact_cutoff`` sources (the
-    figure's whole point is that it becomes intractable).  Defaults
-    scale with ``REPRO_FULL_TRIALS``.
+    Exact enumeration is skipped above ``exact_cutoff`` sources
+    (default :data:`MAX_EXACT_SOURCES`, where the library refuses it).
+    The default grid runs past that limit so the figure shows both the
+    exponential exact curve and the regime only Gibbs reaches.
     """
     if n_values is None:
-        n_values = (5, 10, 15, 20, 22, 26) if full_trials() else (5, 10, 15, 20, 24)
+        n_values = (5, 10, 15, 20, 25, 30, 35)
     if exact_cutoff is None:
-        exact_cutoff = 22 if full_trials() else 20
+        exact_cutoff = MAX_EXACT_SOURCES
     gibbs_config = gibbs_config or GibbsConfig(min_sweeps=600, max_sweeps=6000)
     rng = RandomState(seed)
     rows = []

@@ -11,7 +11,7 @@ loops through it.  The modules are deliberately small and orthogonal:
                                    bound, the Gibbs bound and the E-step
 :mod:`~repro.kernels.likelihood`   vectorised select-based column
                                    log-likelihoods for binary matrices
-:mod:`~repro.kernels.enumeration`  Gray-code split-table enumeration of the
+:mod:`~repro.kernels.enumeration`  sorted meet-in-the-middle sweep of the
                                    ``2^n`` claim patterns (exact bound)
 :mod:`~repro.kernels.gibbs`        blocked, fully vectorised Gibbs sweeps
 :mod:`~repro.kernels.reference`    frozen pre-optimisation implementations,
@@ -20,13 +20,13 @@ loops through it.  The modules are deliberately small and orthogonal:
 
 Every kernel either reproduces the historical output bit-for-bit (the
 deterministic E/M-step paths) or within a documented tolerance (the
-reordered exact enumeration, the resampled Gibbs chain); the contract
+split exact enumeration, the resampled Gibbs chain); the contract
 is pinned by ``tests/kernels`` against ``tests/data/kernel_reference.npz``
 and timed by ``benchmarks/test_kernel_micro.py``.
 """
 
 from repro.kernels.dedup import ColumnGroups, group_columns, group_paired_columns
-from repro.kernels.enumeration import gray_pattern_masses, pattern_block
+from repro.kernels.enumeration import split_pattern_masses
 from repro.kernels.gibbs import BlockedGibbsChains, GibbsTables
 from repro.kernels.likelihood import (
     batched_column_log_likelihoods,
@@ -54,11 +54,10 @@ __all__ = [
     "batched_column_log_likelihoods",
     "batched_dual_column_log_likelihoods",
     "dense_column_log_likelihoods",
-    "gray_pattern_masses",
     "group_columns",
     "group_paired_columns",
     "dual_lane_codes",
     "lane_offset_codes",
     "masked_column_log_likelihoods",
-    "pattern_block",
+    "split_pattern_masses",
 ]

@@ -1,29 +1,27 @@
-"""Gray-code split-table enumeration of the exact bound's pattern sweep.
+"""Sorted meet-in-the-middle evaluation of the exact bound's pattern sweep.
 
 The exact bound (Equation 3) sums ``min`` of the two joints over all
-``2^n`` claim patterns.  The historical kernel materialised every
-pattern and took two ``(chunk, n) @ (n, K)`` matrix products per chunk
-— ``O(2^n · n · K)`` flops dominated by pattern construction for small
-``K``.  This kernel removes the factor ``n``:
+``2^n`` claim patterns.  A pattern is a pair ``(p, q)`` of a *low*
+half (the first ``h = n // 2`` sources) and a *high* half (the other
+``n - h``), and each log joint is a low-half term plus a high-half
+term.  The optimal decision "true" (``joint_true > joint_false``)
+therefore splits into a low-half log-ratio against a high-half
+threshold::
 
-* the **low** ``n_lo`` sources are tabulated once: a ``(2^{n_lo}, K)``
-  table of exponentiated partial joints;
-* the **high** ``n_hi = n - n_lo`` sources are walked in Gray-code
-  order, so consecutive steps differ in a single source whose log-rate
-  delta updates a ``(K,)`` running contribution in ``O(K)``;
-* each step combines the two multiplicatively —
-  ``exp(low + high) = exp(low) · exp(high)`` — so the full sweep is
-  ``O(2^n · K)`` elementwise work with no transcendentals on the big
-  axis.
+    LT[p] - LF[p]  >  HF[q] - HT[q]
 
-The running high-bit sums are refreshed from scratch periodically to
-keep cumulative float drift below the documented ``1e-9`` relative
-agreement with the historical enumeration (the pattern *set* is
-identical; only the summation order differs).
+Sorting the ``2^h`` low ratios once per column turns the ``2^n`` sweep
+into ``2^(n-h)`` binary searches (the two-list technique of Horowitz &
+Sahni, 1974): the patterns deciding "false" for a high half ``q`` are
+a prefix of the sorted low halves, so their true-joint mass is
+``exp(HT[q])`` times a prefix sum, and the patterns deciding "true"
+contribute ``exp(HF[q])`` times a suffix sum of the false joints.
+The sweep costs ``O(K · 2^(n/2) · n)`` instead of ``O(2^n · K)``.
 
-All log inputs must be finite — callers route degenerate rates (exact
-0/1) through the careful legacy path that reasons about impossible
-patterns explicitly.
+Rates exactly at 0/1 need no special case: the half tables are built
+by addition only, so an impossible pattern carries a ``-inf`` log joint
+(an exact 0 joint) and never a NaN.  The pattern *set* is the one the
+historical enumeration visits; only the float summation order differs.
 """
 
 from __future__ import annotations
@@ -37,45 +35,39 @@ from repro.observability import count, span
 if TYPE_CHECKING:  # deferred: kernels must stay import-light
     from repro.resilience.supervisor import Deadline
 
-#: Default number of tabulated low sources (64k-row tables, matching
-#: the historical chunk size).
-_LO_BITS = 16
-
-#: Element budget for the low table — shrinks ``n_lo`` when many
-#: distinct columns are in flight so the working set stays in cache.
-_MAX_TABLE_ELEMENTS = 1 << 22
-
-#: Refresh the incremental high-bit sums every this many Gray steps.
-_REFRESH_INTERVAL = 128
-
-
-def pattern_block(start: int, stop: int, n: int) -> np.ndarray:
-    """0/1 matrix of the binary expansions of ``start..stop-1`` (LSB = source 0)."""
-    codes = np.arange(start, stop, dtype=np.int64)[:, None]
-    return ((codes >> np.arange(n, dtype=np.int64)) & 1).astype(np.float64)
-
-
-def _low_bits(n: int, k: int) -> int:
-    n_lo = min(n, _LO_BITS)
-    while n_lo > 8 and (1 << n_lo) * max(k, 1) > _MAX_TABLE_ELEMENTS:
-        n_lo -= 1
-    return n_lo
+#: ``(K, 2^half)`` float64 tables alive at once per half: two log
+#: joints, their exponentials and the ratio (low) or threshold (high).
+_TABLES_PER_HALF = 5
 
 
 def table_bytes_estimate(n: int, k: int) -> int:
-    """Estimated low-table allocation of :func:`gray_pattern_masses`.
+    """Estimated half-table allocation of :func:`split_pattern_masses`.
 
-    Two exponentiated ``(2^n_lo, K)`` float64 joint tables plus the
-    ``(2^n_lo, n_lo)`` pattern block and its complement — the cost
-    model :func:`repro.bounds.cascade.bound_cascade` checks against a
+    Five ``(K, 2^h)`` low-half and five ``(K, 2^(n-h))`` high-half
+    float64 tables — the cost model
+    :func:`repro.bounds.cascade.bound_cascade` checks against a
     deadline's memory budget before committing to the exact tier.
     """
-    n_lo = _low_bits(n, max(k, 1))
-    rows = 1 << n_lo
-    return 8 * rows * (2 * max(k, 1) + 2 * n_lo)
+    low = n // 2
+    rows = (1 << low) + (1 << (n - low))
+    return 8 * _TABLES_PER_HALF * rows * max(k, 1)
 
 
-def gray_pattern_masses(
+def _half_table(log_on: np.ndarray, log_off: np.ndarray, offset: float) -> np.ndarray:
+    """Log joint of every claim pattern over a block of sources.
+
+    ``log_on``/``log_off`` are ``(n_half, K)`` log rates of claiming /
+    staying silent; each source doubles the table, which comes back as
+    ``(K, 2^n_half)`` so every column's patterns are contiguous.  Only
+    additions, so a ``-inf`` rate term never meets a zero coefficient.
+    """
+    table = np.full((log_on.shape[1], 1), offset, dtype=np.float64)
+    for on, off in zip(log_on, log_off):
+        table = np.concatenate((table + off[:, None], table + on[:, None]), axis=1)
+    return table
+
+
+def split_pattern_masses(
     log_r1: np.ndarray,
     log_1r1: np.ndarray,
     log_r0: np.ndarray,
@@ -87,81 +79,72 @@ def gray_pattern_masses(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-column (false-positive, false-negative) mass of Equation (3).
 
-    Inputs are ``(n, K)`` finite log-rate tables (``r1``/``r0`` are the
-    emission rates given a true/false assertion).  For every one of the
+    Inputs are ``(n, K)`` log-rate tables (``r1``/``r0`` are the
+    emission rates given a true/false assertion); entries may be
+    ``-inf`` where a rate is exactly 0 or 1.  For every one of the
     ``2^n`` claim patterns the optimal estimator decides by the larger
     joint (ties decide "false", matching Algorithm 1's strict ``>``);
     the smaller joint's mass accumulates into the corresponding error
     side.  Returns two ``(K,)`` arrays.
 
-    ``deadline`` is checked cooperatively once per Gray-code refresh
-    interval (every :data:`_REFRESH_INTERVAL` of the ``2^n_hi`` outer
-    steps — the check never touches the hot incremental updates); on
-    expiry :class:`~repro.utils.errors.DeadlineExceeded` carries the
-    pattern count completed so far.
+    ``deadline`` is checked cooperatively before the half tables are
+    built and between columns; on expiry
+    :class:`~repro.utils.errors.DeadlineExceeded` carries the
+    pattern·column evaluations completed so far.
     """
     n, k = log_r1.shape
-    n_lo = _low_bits(n, k)
-    n_hi = n - n_lo
+    low = n // 2
+    total = k << n
     if deadline is not None:
         deadline.check_memory(
-            table_bytes_estimate(n, k), "gray_pattern_masses low table"
+            table_bytes_estimate(n, k), "split_pattern_masses half tables"
         )
         deadline.check(
-            "gray-code enumeration",
-            patterns_done=0,
-            patterns_total=1 << n,
-            n_columns=k,
+            "split enumeration", patterns_done=0, patterns_total=total, n_columns=k
         )
 
     with span(
-        "kernels.gray_enumeration",
+        "kernels.split_enumeration",
         n_sources=n,
         n_columns=k,
-        n_lo=n_lo,
+        n_low=low,
         patterns=1 << n,
     ):
-        patterns = pattern_block(0, 1 << n_lo, n_lo)
-        complement = 1.0 - patterns
-        exp_low_true = np.exp(patterns @ log_r1[:n_lo] + complement @ log_1r1[:n_lo])
-        exp_low_false = np.exp(patterns @ log_r0[:n_lo] + complement @ log_1r0[:n_lo])
-
-        delta_true = log_r1[n_lo:] - log_1r1[n_lo:]
-        delta_false = log_r0[n_lo:] - log_1r0[n_lo:]
-        base_true = log_1r1[n_lo:].sum(axis=0) + log_z
-        base_false = log_1r0[n_lo:].sum(axis=0) + log_1z
-        hi_true = base_true.copy()
-        hi_false = base_false.copy()
+        low_true = _half_table(log_r1[:low], log_1r1[:low], 0.0)
+        low_false = _half_table(log_r0[:low], log_1r0[:low], 0.0)
+        high_true = _half_table(log_r1[low:], log_1r1[low:], log_z)
+        high_false = _half_table(log_r0[low:], log_1r0[low:], log_1z)
+        with np.errstate(invalid="ignore"):
+            # (-inf) - (-inf) marks a half whose joints are both 0: its
+            # mass is 0 whichever way it decides.
+            ratio = np.nan_to_num(low_true - low_false, nan=0.0)
+            thresh = np.nan_to_num(high_false - high_true, nan=0.0)
+        exp_low_true, exp_low_false = np.exp(low_true), np.exp(low_false)
+        exp_high_true, exp_high_false = np.exp(high_true), np.exp(high_false)
 
         fp_mass = np.zeros(k)
         fn_mass = np.zeros(k)
-        state = np.zeros(n_hi, dtype=bool)
-        total_steps = 1 << n_hi
-        for step in range(total_steps):
-            if step:
-                bit = (step & -step).bit_length() - 1
-                flip = -1.0 if state[bit] else 1.0
-                state[bit] = not state[bit]
-                if step % _REFRESH_INTERVAL:
-                    hi_true += flip * delta_true[bit]
-                    hi_false += flip * delta_false[bit]
-                else:
-                    hi_true = base_true + delta_true[state].sum(axis=0)
-                    hi_false = base_false + delta_false[state].sum(axis=0)
-                    if deadline is not None:
-                        deadline.check(
-                            "gray-code enumeration",
-                            patterns_done=step << n_lo,
-                            patterns_total=total_steps << n_lo,
-                            n_columns=k,
-                        )
-            joint_true = exp_low_true * np.exp(hi_true)
-            joint_false = exp_low_false * np.exp(hi_false)
-            decide_true = joint_true > joint_false
-            fp_mass += np.where(decide_true, joint_false, 0.0).sum(axis=0)
-            fn_mass += np.where(decide_true, 0.0, joint_true).sum(axis=0)
+        for col in range(k):
+            if deadline is not None and col:
+                deadline.check(
+                    "split enumeration",
+                    patterns_done=col << n,
+                    patterns_total=total,
+                    n_columns=k,
+                )
+            order = np.argsort(ratio[col])
+            # Low halves with ratio <= thresh[q] decide "false" (ties
+            # included), so they form the prefix the search returns.
+            cut = np.searchsorted(ratio[col, order], thresh[col], side="right")
+            true_below = np.concatenate(([0.0], np.cumsum(exp_low_true[col, order])))
+            # A reversed cumsum, not total - prefix: no cancellation.
+            false_above = np.concatenate(
+                (np.cumsum(exp_low_false[col, order[::-1]])[::-1], [0.0])
+            )
+            fn_mass[col] = (exp_high_true[col] * true_below[cut]).sum()
+            fp_mass[col] = (exp_high_false[col] * false_above[cut]).sum()
         count("kernels.enumeration.patterns", 1 << n)
     return fp_mass, fn_mass
 
 
-__all__ = ["gray_pattern_masses", "pattern_block", "table_bytes_estimate"]
+__all__ = ["split_pattern_masses", "table_bytes_estimate"]

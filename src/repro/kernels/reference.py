@@ -154,8 +154,7 @@ def reference_exact_bound(
     """The historical chunked matrix-product exact bound.
 
     Non-degenerate rates only (strictly inside ``(0, 1)``) — the
-    benchmark inputs always are; the degenerate corner kept its careful
-    path in :mod:`repro.bounds.exact` unchanged.
+    benchmark inputs always are.
     """
     dep = np.asarray(dependency)
     if dep.ndim == 1:

@@ -9,7 +9,7 @@ through its long-running loops:
 
 * :class:`Deadline` — a cooperative wall-clock (and optional memory)
   budget.  Loops call :meth:`Deadline.check` at natural yield points
-  (EM iterations, Gibbs sweeps, Gray-code refresh steps); an expired
+  (EM iterations, Gibbs sweeps, exact-bound columns); an expired
   deadline raises :class:`~repro.utils.errors.DeadlineExceeded`
   carrying structured partial-progress information, never a bare
   timeout.  Memory checks reuse the same accounting as the data

@@ -51,8 +51,8 @@ class ConvergenceError(ReproError):
 class DeadlineExceeded(ReproError):
     """A supervised computation ran past its cooperative deadline.
 
-    Raised by long-running loops (EM iterations, Gibbs sweeps, Gray-code
-    enumeration) when a :class:`repro.resilience.supervisor.Deadline`
+    Raised by long-running loops (EM iterations, Gibbs sweeps, the exact
+    bound's split enumeration) when a :class:`repro.resilience.supervisor.Deadline`
     expires.  Carries structured partial-progress information so the
     caller — typically :func:`repro.bounds.cascade.bound_cascade` — can
     degrade gracefully instead of losing the work silently.

@@ -1,6 +1,7 @@
 """Tests for the exact error bound (Equation 3, Table I)."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,20 @@ class TestExactMatrixBound:
         perm = np.array([2, 0, 1])
         permuted = exact_column_bound(d_column[perm], small_params.restrict(perm))
         assert permuted.total == pytest.approx(base.total)
+
+
+    @pytest.mark.parametrize("z", [0.0, 1.0])
+    def test_certain_prior_on_a_matrix_is_zero_and_warning_free(self, small_params, z):
+        """z in {0, 1} leaves nothing to decide: no error, no log(0) warning."""
+        params = SourceParameters(
+            a=small_params.a, b=small_params.b, f=small_params.f, g=small_params.g, z=z
+        )
+        matrix = np.array([[0, 1], [1, 0], [0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = exact_bound(matrix, params)
+        assert result.total == 0.0
+        assert result.false_positive == 0.0 and result.false_negative == 0.0
 
 
 class TestBoundResult:

@@ -35,8 +35,9 @@ PROBLEM_SEED = 777
 #: accuracy tests allow against the exact bound).
 GIBBS_TOLERANCE = 0.02
 
-#: The exact bound enumerates the identical pattern set in a different
-#: (Gray-code) order, so totals agree to float summation error only.
+#: The exact bound sums the identical pattern set in a different order
+#: (sorted half-pattern prefix sums), so totals agree to float
+#: summation error only.
 EXACT_TOLERANCE = 1e-10
 
 #: Deterministic Gibbs configuration: fixed sweep count, no early stop.

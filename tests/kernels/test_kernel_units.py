@@ -253,7 +253,7 @@ class TestGibbsConfigValidation:
 
 
 class TestEnumerationBudgets:
-    """Deadline/memory supervision of the Gray-code enumeration kernel."""
+    """Deadline/memory supervision of the split enumeration kernel."""
 
     def _case(self, n=8, k=3, seed=42):
         dependency = _random_binary((n, k), seed=seed, density=0.4)

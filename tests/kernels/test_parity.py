@@ -8,8 +8,8 @@ tests here run the optimised paths over the identical cases and demand:
 * **bit-for-bit** equality for the engine kernels (dense and CSR E/M
   steps) — the table-gather rewrite is an exact selection of the same
   float values with the same reduction order, so nothing may move;
-* agreement within ``EXACT_TOLERANCE`` for the exact bound — Gray-code
-  enumeration visits the identical pattern set in a different order, so
+* agreement within ``EXACT_TOLERANCE`` for the exact bound — the split
+  enumeration sums the identical pattern set in a different order, so
   only float summation error is allowed;
 * agreement within ``GIBBS_TOLERANCE`` for the Gibbs bound — the
   blocked sampler draws a different (equally valid) chain than the

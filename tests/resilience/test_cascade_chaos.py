@@ -121,7 +121,24 @@ class TestCostModel:
 
     def test_estimate_exact_seconds_scales_with_problem(self):
         assert estimate_exact_seconds(20, 4) == 4 * estimate_exact_seconds(20, 1)
-        assert estimate_exact_seconds(21, 1) == 2 * estimate_exact_seconds(20, 1)
+        # The split sweep works on 2^ceil(n/2) half patterns, ceil(n/2)
+        # search steps each: two more sources cost 2 * 11/10 at n = 20.
+        assert estimate_exact_seconds(22, 1) == pytest.approx(
+            2.2 * estimate_exact_seconds(20, 1)
+        )
+
+    def test_exact_tier_fits_a_ten_second_budget_at_n24(self):
+        n, k = 24, 44
+        rng = np.random.default_rng(24)
+        dependency = (rng.random((n, k)) < 0.3).astype(np.int8)
+        assert np.unique(dependency, axis=1).shape[1] == k
+        params = SourceParameters.random(n, seed=24, informative=True).clamp(1e-4)
+        outcome = bound_cascade(
+            dependency, params, deadline=Deadline.after(10), config=FAST_GIBBS
+        )
+        assert outcome.report.tier == "exact"
+        assert [a.status for a in outcome.report.attempts] == ["ok"]
+        assert outcome.bound.total == exact_bound(dependency, params).total
 
     def test_expired_deadline_degrades_to_analytic_with_truthful_report(self):
         problem, params = _problem_and_params()

@@ -74,6 +74,9 @@ _EXPERIMENTS = (
     "table1", "table3", "fig3", "fig4", "fig5", "fig6",
     "fig7", "fig8", "fig9", "fig10", "fig11",
 )
+#: The experiments made of Monte-Carlo trials, the only ones ``--n-jobs``
+#: fans out.
+_TRIAL_EXPERIMENTS = ("fig7", "fig8", "fig9", "fig10")
 
 
 def _add_observability_flags(sub: argparse.ArgumentParser) -> None:
@@ -141,11 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bound.add_argument("--seed", type=int, default=0)
     bound.add_argument(
-        "--n-jobs", type=int, default=None, metavar="N",
-        help="shard Gibbs chains across N worker processes (-1: all "
-             "cores; results are identical for any N)",
-    )
-    bound.add_argument(
         "--deadline", default=None, metavar="SPAN",
         help="wall budget for the computation (e.g. 500ms, 5s, 2m); "
              "implies --cascade behaviour on expiry",
@@ -173,9 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("name", choices=_EXPERIMENTS)
     experiment.add_argument(
         "--n-jobs", type=int, default=None, metavar="N",
-        help="fan the experiment's trials (figs 7-10) or Gibbs chains "
-             "(figs 3-5) out across N worker processes (-1: all cores); "
-             "results are identical for any N",
+        help="fan the Monte-Carlo trials of fig7-fig10 out across N "
+             "worker processes (-1: all cores)",
     )
     _add_observability_flags(experiment)
 
@@ -368,11 +365,7 @@ def _cmd_bound(args) -> int:
         result = exact_bound(dependency, params)
     else:
         result = gibbs_bound(
-            dependency,
-            params,
-            config=GibbsConfig(),
-            seed=args.seed,
-            parallel=_parallel_config(args),
+            dependency, params, config=GibbsConfig(), seed=args.seed
         )
     print(
         f"{result.method} bound: Err = {result.total:.6f} "
@@ -404,18 +397,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parallel_config(args):
-    """``--n-jobs`` → a :class:`ParallelConfig` (``None`` when unset)."""
-    n_jobs = getattr(args, "n_jobs", None)
-    if n_jobs is None:
-        return None
-    return ParallelConfig(n_jobs=n_jobs)
-
-
 def _cmd_experiment(args) -> int:
     name = args.name
-    parallel = _parallel_config(args)
-    parallel_kwargs = {"parallel": parallel} if parallel is not None else {}
+    parallel_kwargs = {}
+    if args.n_jobs is not None:
+        if name not in _TRIAL_EXPERIMENTS:
+            print(
+                f"error: --n-jobs fans out Monte-Carlo trials, which only "
+                f"fig7-fig10 have; {name} runs in one process",
+                file=sys.stderr,
+            )
+            return 2
+        parallel_kwargs["parallel"] = ParallelConfig(n_jobs=args.n_jobs)
     if name == "table1":
         result = table1_walkthrough()
         print(f"Table I bound: {result.total:.8f} (paper: 0.26980433)")
@@ -429,10 +422,10 @@ def _cmd_experiment(args) -> int:
             "fig4": (figure4_bound_vs_trees, "tau"),
             "fig5": (figure5_bound_vs_odds, "dep-odds"),
         }[name]
-        print(format_bound_comparison(runner[0](**parallel_kwargs), x_label=runner[1]))
+        print(format_bound_comparison(runner[0](), x_label=runner[1]))
     elif name == "fig6":
         print(format_timing(figure6_bound_timing()))
-    elif name in ("fig7", "fig8", "fig9", "fig10"):
+    elif name in _TRIAL_EXPERIMENTS:
         runner = {
             "fig7": figure7_estimator_vs_sources,
             "fig8": figure8_estimator_vs_assertions,

@@ -10,7 +10,7 @@ Conventions
 * ``sc`` — an ``(n, m)`` 0/1 claim matrix (or an ``(n,)`` column);
 * ``d``  — dependency indicators of the same shape;
 * log-probabilities use natural log; impossible events yield ``-inf``
-  only if parameters are exactly 0/1 (callers clamp first).
+  only if parameters are exactly 0/1, never NaN.
 """
 
 from __future__ import annotations
@@ -57,6 +57,18 @@ def emission_probability(
     return float(rate if sc == 1 else 1.0 - rate)
 
 
+def _weigh(weight: np.ndarray, one: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """``weight * one + (1 - weight) * zero``, selected where ``weight`` is 0/1.
+
+    A log rate of ``-inf`` (a parameter exactly at 0/1) times a 0 weight
+    is NaN; selecting instead keeps the cell at the other term, as
+    :func:`pattern_log_joint` does.  Fractional weights still mix.
+    """
+    with np.errstate(invalid="ignore"):
+        mixed = weight * one + (1.0 - weight) * zero
+    return np.where(weight == 1, one, np.where(weight == 0, zero, mixed))
+
+
 def _emission_log_rates(
     d: np.ndarray, params: SourceParameters
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -69,30 +81,21 @@ def _emission_log_rates(
     """
     d = np.asarray(d, dtype=np.float64)
     with np.errstate(divide="ignore"):
-        log_a, log_1a = np.log(params.a), np.log1p(-params.a)
-        log_b, log_1b = np.log(params.b), np.log1p(-params.b)
-        log_f, log_1f = np.log(params.f), np.log1p(-params.f)
-        log_g, log_1g = np.log(params.g), np.log1p(-params.g)
-
-    def _mix(dep_rate: np.ndarray, ind_rate: np.ndarray) -> np.ndarray:
-        # Broadcast per-source rates over assertions via the D mask.
-        return d * dep_rate[..., None] + (1.0 - d) * ind_rate[..., None]
-
-    if d.ndim == 1:
-        # A single column: rates are (n,) and broadcasting above would
-        # produce (n, n); handle explicitly.
-        mix = lambda dep, ind: d * dep + (1.0 - d) * ind  # noqa: E731
-        return (
-            mix(log_f, log_a),
-            mix(log_1f, log_1a),
-            mix(log_g, log_b),
-            mix(log_1g, log_1b),
-        )
+        logs = [
+            np.log(params.a), np.log1p(-params.a),
+            np.log(params.b), np.log1p(-params.b),
+            np.log(params.f), np.log1p(-params.f),
+            np.log(params.g), np.log1p(-params.g),
+        ]
+    if d.ndim == 2:
+        # Per-source rates broadcast over the assertion axis.
+        logs = [values[:, None] for values in logs]
+    log_a, log_1a, log_b, log_1b, log_f, log_1f, log_g, log_1g = logs
     return (
-        _mix(log_f, log_a),
-        _mix(log_1f, log_1a),
-        _mix(log_g, log_b),
-        _mix(log_1g, log_1b),
+        _weigh(d, log_f, log_a),
+        _weigh(d, log_1f, log_1a),
+        _weigh(d, log_g, log_b),
+        _weigh(d, log_1g, log_1b),
     )
 
 
@@ -128,8 +131,8 @@ def column_log_likelihoods(
             # bitwise-identical sums with fewer array passes.
             return dense_column_log_likelihoods(sc != 0, d != 0, tables)
     log_p1_t, log_p0_t, log_p1_f, log_p0_f = _emission_log_rates(d, params)
-    log_true = sc * log_p1_t + (1.0 - sc) * log_p0_t
-    log_false = sc * log_p1_f + (1.0 - sc) * log_p0_f
+    log_true = _weigh(sc, log_p1_t, log_p0_t)
+    log_false = _weigh(sc, log_p1_f, log_p0_f)
     return log_true.sum(axis=0), log_false.sum(axis=0)
 
 

@@ -430,7 +430,7 @@ def run_simulation(
     When ``parallel`` sets ``timeout_seconds`` and the failure policy
     is softer than ``fail_fast``, a trial lost to a wedged worker
     surfaces as ``timed_out`` ledger entries (the executor resubmits
-    wedged chunks up to ``parallel.max_resubmits`` first) and the sweep
+    wedged tasks up to ``parallel.max_resubmits`` first) and the sweep
     continues; under ``fail_fast`` the
     :class:`~repro.parallel.WorkerTimeoutError` propagates.
 

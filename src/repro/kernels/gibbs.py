@@ -22,8 +22,10 @@ regardless of the source count.
 
 All per-chain constants — the rate clamp, the log-rate tables and the
 prior logs — are hoisted into :class:`GibbsTables`, built once per
-sampler run (not per sweep, and in the sharded path once per *problem*
-rather than once per worker).
+sampler run rather than once per sweep.  The ``K`` chains (one per
+distinct dependency column) share one random stream and advance in
+lock-step, so a sweep is the same handful of array operations for one
+chain or fifty.
 """
 
 from __future__ import annotations
@@ -85,20 +87,6 @@ class GibbsTables:
     @property
     def n_sources(self) -> int:
         return self.rate_true.shape[1]
-
-    def row(self, index: int) -> "GibbsTables":
-        """The single-chain slice for sharded per-column sampling."""
-        sel = slice(index, index + 1)
-        return GibbsTables(
-            rate_true=self.rate_true[sel],
-            rate_false=self.rate_false[sel],
-            log_r1=self.log_r1[sel],
-            log_1r1=self.log_1r1[sel],
-            log_r0=self.log_r0[sel],
-            log_1r0=self.log_1r0[sel],
-            log_z=self.log_z,
-            log_1z=self.log_1z,
-        )
 
 
 class BlockedGibbsChains:

@@ -1,11 +1,14 @@
 """Ordered process fan-out with fault and hang containment.
 
-:func:`parallel_imap` is the one primitive every parallel entry point in
-the library uses: map a picklable top-level function over a task list
-and yield the results *in task order*, streaming — result ``k`` is
-yielded as soon as tasks ``0..k`` are done, while later tasks are still
-running.  Ordered streaming is what lets the simulation harness keep
-its per-trial checkpointing loop unchanged under parallelism.
+:func:`parallel_imap` is the one primitive the library fans out with:
+map a picklable top-level function over a task list and yield the
+results *in task order*, streaming — result ``k`` is yielded as soon as
+tasks ``0..k`` are done, while later tasks are still running.  Ordered
+streaming is what lets the simulation harness keep its per-trial
+checkpointing loop unchanged under parallelism.
+
+There is one dispatch path.  Every task is submitted to the pool on its
+own, and a worker stamps a shared heartbeat array when it starts one.
 
 Failure semantics:
 
@@ -13,22 +16,23 @@ Failure semantics:
   turn (the pool is terminated first, so no orphaned work keeps
   burning CPU) — callers that want softer behaviour catch inside the
   worker function, exactly as the serial code catches around the call;
-* with ``config.timeout_seconds`` set, each chunk gets a *soft
-  deadline* supervised through worker heartbeats: workers stamp a
-  shared array before every task, and a chunk whose heartbeat goes
-  silent past the timeout is treated as wedged.  The wedged pool is
-  terminated (``terminate``, not ``join``), unfinished healthy chunks
-  are resubmitted to a fresh pool, and the wedged chunk itself is
-  retried up to ``config.max_resubmits`` times.  A chunk that exhausts
-  its resubmissions surfaces as :class:`WorkerTimeoutError` — raised
-  at its in-order turn, or routed through the caller's ``on_timeout``
-  hook (one call per task, its return value yielded in the task's
-  place) so a sweep can degrade per-trial instead of aborting.
+* with ``config.timeout_seconds`` set, each task gets a *soft
+  deadline*: a started task whose heartbeat goes silent past the
+  timeout while nothing else progresses is treated as wedged.  The
+  wedged pool is terminated (``terminate``, not ``join``), unfinished
+  healthy tasks are resubmitted to a fresh pool, and the wedged task
+  itself is retried up to ``config.max_resubmits`` times.  A task that
+  exhausts its resubmissions surfaces as :class:`WorkerTimeoutError` —
+  raised at its in-order turn, or routed through the caller's
+  ``on_timeout`` hook (its return value yielded in the task's place) so
+  a sweep can degrade per-trial instead of aborting.  With
+  ``timeout_seconds=None`` no wedge is ever declared: the parent waits
+  on the next task for as long as it takes.
 
-The supervised path changes *when* results are computed, never *what*:
-on a fault-free run the chunks, their order and every task's arguments
-are identical to the unsupervised path, so serial parity is preserved
-(pinned in ``tests/parallel/test_serial_parity.py``).
+Supervision changes *when* results are computed, never *what*: every
+task's arguments and the order of the results are those of the
+in-process loop, so serial parity is preserved (pinned in
+``tests/parallel/test_serial_parity.py``).
 """
 
 from __future__ import annotations
@@ -37,23 +41,24 @@ import multiprocessing
 import time
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.parallel.config import BACKEND_SERIAL, ParallelConfig
+from repro.parallel.config import ParallelConfig
 from repro.utils.errors import ReproError
 
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
 
-#: ``on_timeout(global_task_index, task, error) -> substitute result``.
+#: ``on_timeout(task_index, task, error) -> substitute result``.
 TimeoutHook = Callable[[int, TaskT, "WorkerTimeoutError"], ResultT]
 
 
 class WorkerTimeoutError(ReproError):
-    """A chunk's heartbeat went silent past the configured timeout.
+    """A task's heartbeat went silent past the configured timeout.
 
     Carries enough context to turn the wedge into per-trial failure
-    records: which chunk wedged, the global indices of the tasks it
-    held, how long the parent waited and how many resubmissions were
-    burned before giving up.
+    records: which task wedged (``chunk_index`` and ``task_indices``
+    both name it, since a worker takes one task per dispatch), how long
+    the parent waited and how many resubmissions were burned before
+    giving up.
     """
 
     def __init__(
@@ -72,19 +77,6 @@ class WorkerTimeoutError(ReproError):
         self.n_resubmits = n_resubmits
 
 
-def _run_chunk(payload):
-    """Map one chunk of tasks in a worker (pool entry point).
-
-    Chunking is done here rather than via ``imap``'s ``chunksize``
-    because the stdlib wraps chunked results in a plain generator that
-    has no timed ``next`` — and the timeout guard needs one.
-    """
-    fn, chunk = payload
-    return [fn(task) for task in chunk]
-
-
-# -- supervised (heartbeat) path -------------------------------------------
-
 #: Per-process shared heartbeat array, installed by the pool initializer.
 _HEARTBEATS = None
 
@@ -94,47 +86,40 @@ def _init_heartbeats(array) -> None:
     _HEARTBEATS = array
 
 
-def _run_chunk_supervised(payload):
-    """Like :func:`_run_chunk`, but stamps a heartbeat before each task.
+def _run_task(payload):
+    """Run one task in a worker (pool entry point), stamping its heartbeat.
 
     ``time.monotonic`` is system-wide on the platforms the process
     backend supports, so the parent compares worker stamps directly
     against its own clock.
     """
-    index, fn, chunk = payload
-    results = []
-    for task in chunk:
-        if _HEARTBEATS is not None:
-            _HEARTBEATS[index] = time.monotonic()
-        results.append(fn(task))
-    if _HEARTBEATS is not None:
-        _HEARTBEATS[index] = time.monotonic()
-    return results
+    index, fn, task = payload
+    _HEARTBEATS[index] = time.monotonic()
+    return fn(task)
 
 
-def _supervised_imap(
+def _pool_imap(
     fn: Callable[[TaskT], ResultT],
-    chunks: List[List[TaskT]],
-    offsets: List[int],
+    tasks: List[TaskT],
     jobs: int,
     config: ParallelConfig,
     on_timeout: Optional[TimeoutHook],
 ) -> Iterator[ResultT]:
-    """Heartbeat-supervised ordered fan-out with bounded resubmission."""
-    timeout = float(config.timeout_seconds)  # type: ignore[arg-type]
-    poll = max(0.01, min(timeout / 4.0, 0.25))
-    n = len(chunks)
+    """Ordered fan-out over ``jobs`` workers with bounded resubmission."""
+    timeout = config.timeout_seconds
+    poll = None if timeout is None else max(0.01, min(timeout / 4.0, 0.25))
+    n = len(tasks)
     context = multiprocessing.get_context(config.start_method)
     heartbeats = context.Array("d", n)
 
     resubmits = [0] * n
-    results: dict = {}  # chunk index -> list of task results
-    worker_errors: dict = {}  # chunk index -> exception from the worker
-    failures: dict = {}  # chunk index -> WorkerTimeoutError
+    results: dict = {}  # task index -> result
+    worker_errors: dict = {}  # task index -> exception from the worker
+    failures: dict = {}  # task index -> WorkerTimeoutError
     pending = set(range(n))
     last_beat = [0.0] * n
     now = time.monotonic()
-    progress_at = [now] * n  # last time chunk i demonstrably advanced
+    progress_at = [now] * n  # last time task i demonstrably advanced
     last_progress = now  # last time *anything* advanced
 
     def make_pool():
@@ -146,7 +131,7 @@ def _supervised_imap(
 
     def submit(pool, indices):
         return {
-            i: pool.apply_async(_run_chunk_supervised, ((i, fn, chunks[i]),))
+            i: pool.apply_async(_run_task, ((i, fn, tasks[i]),))
             for i in sorted(indices)
         }
 
@@ -157,7 +142,7 @@ def _supervised_imap(
         next_index = 0
         while next_index < n:
             if next_index in results:
-                yield from results.pop(next_index)
+                yield results.pop(next_index)
                 next_index += 1
                 continue
             if next_index in worker_errors:
@@ -174,8 +159,7 @@ def _supervised_imap(
                         pool.terminate()
                         alive = False
                     raise error
-                for step, task in enumerate(chunks[next_index]):
-                    yield on_timeout(offsets[next_index] + step, task, error)
+                yield on_timeout(next_index, tasks[next_index], error)
                 next_index += 1
                 continue
 
@@ -193,6 +177,8 @@ def _supervised_imap(
                     results[i] = handle.get()
                 except Exception as error:  # worker-raised
                     worker_errors[i] = error
+            if timeout is None:
+                continue
 
             # Observe heartbeats.
             now = time.monotonic()
@@ -209,16 +195,16 @@ def _supervised_imap(
                 continue
 
             # Wedge: nothing progressed for a full timeout.  Started
-            # chunks whose own heartbeat is stale are the culprits;
-            # when none has even started, blame the chunk being waited
-            # on (the whole pool is starved).
+            # tasks whose own heartbeat is stale are the culprits; when
+            # none has even started, blame the task being waited on
+            # (the whole pool is starved).
             stale = {
                 i
                 for i in pending
                 if last_beat[i] > 0.0 and now - progress_at[i] > timeout
             }
             if not stale:
-                stale = {min(i for i in pending)}
+                stale = {min(pending)}
             pool.terminate()
             pool.join()
             alive = False
@@ -227,14 +213,11 @@ def _supervised_imap(
                 if resubmits[i] > config.max_resubmits:
                     pending.discard(i)
                     failures[i] = WorkerTimeoutError(
-                        f"chunk {i} (tasks {offsets[i]}..."
-                        f"{offsets[i] + len(chunks[i]) - 1}) made no progress "
-                        f"within {timeout:g}s after {resubmits[i] - 1} "
-                        f"resubmission(s); pool of {jobs} terminated",
+                        f"task {i} made no progress within {timeout:g}s "
+                        f"after {resubmits[i] - 1} resubmission(s); pool of "
+                        f"{jobs} terminated",
                         chunk_index=i,
-                        task_indices=tuple(
-                            range(offsets[i], offsets[i] + len(chunks[i]))
-                        ),
+                        task_indices=(i,),
                         elapsed_seconds=now - progress_at[i],
                         n_resubmits=resubmits[i] - 1,
                     )
@@ -251,6 +234,8 @@ def _supervised_imap(
             else:
                 handles = {}
     except GeneratorExit:
+        # The consumer abandoned the stream (e.g. its own error path);
+        # don't make close() wait for work nobody will read.
         if alive:
             pool.terminate()
             alive = False
@@ -270,70 +255,28 @@ def parallel_imap(
 ) -> Iterator[ResultT]:
     """Yield ``fn(task)`` for every task, in order, possibly from workers.
 
-    ``fn`` must be a module-level (picklable) function when the process
-    backend is used.  With ``config.backend == "serial"`` or a single
-    effective worker the tasks run in-process through the *same* code
-    path, which is what makes ``n_jobs=1`` vs ``n_jobs=k`` parity tests
-    meaningful.
+    ``fn`` must be a module-level (picklable) function when more than
+    one worker is used.  With a single effective worker the tasks run
+    in-process, one after another, in the same order — which is what
+    makes ``n_jobs=1`` vs ``n_jobs=k`` parity tests meaningful.
 
-    ``on_timeout`` (supervised path only — requires
-    ``config.timeout_seconds``) is called once per task of a chunk that
-    exhausted its resubmissions, as ``on_timeout(global_index, task,
-    error)``; its return value is yielded in the task's place, so a
-    wedged chunk degrades into substitute results instead of aborting
-    the sweep.  Without the hook the :class:`WorkerTimeoutError` is
-    raised at the wedged chunk's in-order turn.
+    ``on_timeout`` (requires ``config.timeout_seconds``) is called once
+    for a task that exhausted its resubmissions, as
+    ``on_timeout(task_index, task, error)``; its return value is
+    yielded in the task's place, so a wedged task degrades into a
+    substitute result instead of aborting the sweep.  Without the hook
+    the :class:`WorkerTimeoutError` is raised at the wedged task's
+    in-order turn.
     """
     tasks = list(tasks)
     if not tasks:
         return
     jobs = config.effective_jobs(len(tasks))
-    if config.backend == BACKEND_SERIAL or jobs <= 1:
+    if jobs <= 1:
         for task in tasks:
             yield fn(task)
         return
-    size = config.chunk_size
-    chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
-    if config.timeout_seconds is not None:
-        offsets = list(range(0, len(tasks), size))
-        yield from _supervised_imap(fn, chunks, offsets, jobs, config, on_timeout)
-        return
-    context = multiprocessing.get_context(config.start_method)
-    pool = context.Pool(processes=jobs)
-    terminated = False
-    try:
-        iterator = pool.imap(_run_chunk, [(fn, chunk) for chunk in chunks])
-        for _ in range(len(chunks)):
-            try:
-                results = iterator.next()
-            except Exception:
-                # Worker-raised exception: stop the remaining work before
-                # re-raising, so fail-fast semantics match the serial path.
-                pool.terminate()
-                terminated = True
-                raise
-            yield from results
-    except GeneratorExit:
-        # The consumer abandoned the stream (e.g. its own error path);
-        # don't make close() wait for work nobody will read.
-        pool.terminate()
-        terminated = True
-        raise
-    finally:
-        if not terminated:
-            pool.close()
-        pool.join()
+    yield from _pool_imap(fn, tasks, jobs, config, on_timeout)
 
 
-def parallel_map(
-    fn: Callable[[TaskT], ResultT],
-    tasks: Sequence[TaskT],
-    *,
-    config: ParallelConfig,
-    on_timeout: Optional[TimeoutHook] = None,
-) -> List[ResultT]:
-    """Eager form of :func:`parallel_imap`."""
-    return list(parallel_imap(fn, tasks, config=config, on_timeout=on_timeout))
-
-
-__all__ = ["TimeoutHook", "WorkerTimeoutError", "parallel_imap", "parallel_map"]
+__all__ = ["TimeoutHook", "WorkerTimeoutError", "parallel_imap"]

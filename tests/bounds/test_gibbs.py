@@ -5,6 +5,7 @@ import pytest
 
 from repro.bounds import GibbsConfig, exact_bound, exact_column_bound, gibbs_bound, gibbs_column_bound
 from repro.core import SourceParameters
+from repro.synthetic import GeneratorConfig, empirical_parameters, generate_dataset
 from repro.utils.errors import ValidationError
 
 
@@ -97,6 +98,22 @@ class TestMechanics:
         )
         result = gibbs_column_bound(np.zeros(10, dtype=int), params10, config=config, seed=0)
         assert result.n_samples < 50_000
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_invariant_to_column_permutation(self, seed):
+        # Chains follow the sorted unique columns of D, so reordering the
+        # assertions changes neither the chains nor the random stream.
+        config = GeneratorConfig.paper_defaults(n_sources=25)
+        dataset = generate_dataset(config, seed=seed)
+        params = empirical_parameters(dataset.problem).clamp(1e-4)
+        dependency = dataset.problem.dependency.values
+        order = np.random.default_rng(seed).permutation(dependency.shape[1])
+        gibbs = GibbsConfig(min_sweeps=200, max_sweeps=400, check_interval=100)
+        a = gibbs_bound(dependency, params, config=gibbs, seed=seed)
+        b = gibbs_bound(dependency[:, order], params, config=gibbs, seed=seed)
+        assert (a.total, a.false_positive, a.false_negative, a.n_samples) == (
+            b.total, b.false_positive, b.false_negative, b.n_samples
+        )
 
     def test_column_shape_validation(self, params10):
         with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 """Tests for repro.core.likelihood (Table II / Equations 4-9)."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,37 @@ class TestColumnLogLikelihoods:
                 )
                 total += np.exp(log_true if c_value == 1 else log_false)
             assert total == pytest.approx(1.0)
+
+
+    def test_rates_at_zero_and_one_match_pattern_log_joint(self):
+        """No NaN from a 0 weight on a ``-inf`` log rate, 1-D or 2-D."""
+        params = SourceParameters(
+            a=np.array([0.0, 1.0, 0.6]),
+            b=np.array([0.3, 0.0, 1.0]),
+            f=np.array([1.0, 0.5, 0.0]),
+            g=np.array([0.0, 1.0, 0.4]),
+            z=0.5,
+        )
+        cells = list(itertools.product((0, 1), repeat=3))
+        pairs = [(sc, d) for sc in cells for d in cells]
+        sc_matrix = np.array([sc for sc, _ in pairs], dtype=float).T
+        d_matrix = np.array([d for _, d in pairs], dtype=float).T
+        log_z = np.log(params.z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix_true, matrix_false = column_log_likelihoods(
+                sc_matrix, d_matrix, params
+            )
+            for j, (sc, d) in enumerate(pairs):
+                expected = pattern_log_joint(np.array(sc), np.array(d), params)
+                column = column_log_likelihoods(
+                    np.array(sc, dtype=float), np.array(d, dtype=float), params
+                )
+                for got in (column, (matrix_true[j], matrix_false[j])):
+                    np.testing.assert_allclose(
+                        np.array(got) + log_z, expected, equal_nan=False
+                    )
+        assert np.isneginf(matrix_true).any() and np.isfinite(matrix_true).any()
 
 
 class TestPatternLogJoint:

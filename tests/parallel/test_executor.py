@@ -1,6 +1,5 @@
 """Unit tests of the execution layer: config validation, ordering, containment."""
 
-import multiprocessing
 import os
 
 import pytest
@@ -10,7 +9,6 @@ from repro.parallel import (
     WorkerTimeoutError,
     cpu_count,
     parallel_imap,
-    parallel_map,
 )
 from repro.utils.errors import ValidationError
 
@@ -33,17 +31,17 @@ class TestParallelConfig:
     def test_defaults_are_one_process_worker(self):
         config = ParallelConfig()
         assert config.n_jobs == 1
-        assert config.backend == "process"
-        assert config.chunk_size == 1
+        assert config.start_method is None
         assert config.timeout_seconds is None
+        assert config.max_resubmits == 0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"n_jobs": 0},
             {"n_jobs": -2},
-            {"backend": "threads"},
-            {"chunk_size": 0},
+            {"n_jobs": True},
+            {"max_resubmits": -1},
             {"start_method": "magic"},
             {"timeout_seconds": 0.0},
             {"timeout_seconds": -1.0},
@@ -60,36 +58,34 @@ class TestParallelConfig:
     def test_effective_jobs_capped_by_tasks(self):
         assert ParallelConfig(n_jobs=8).effective_jobs(3) == 3
         assert ParallelConfig(n_jobs=2).effective_jobs(100) == 2
-        assert ParallelConfig.serial().effective_jobs(100) == 1
+        assert ParallelConfig(n_jobs=1).effective_jobs(100) == 1
 
-    def test_constructors(self):
-        assert ParallelConfig.serial().backend == "serial"
-        assert ParallelConfig.processes().n_jobs == -1
-        assert ParallelConfig.processes(3).n_jobs == 3
+
+def _run(fn, tasks, config):
+    return list(parallel_imap(fn, tasks, config=config))
 
 
 class TestParallelMap:
     def test_empty_task_list(self):
-        assert parallel_map(_square, [], config=ParallelConfig(n_jobs=4)) == []
-
-    def test_serial_backend_runs_in_process(self):
-        pids = parallel_map(_pid, range(4), config=ParallelConfig.serial())
-        assert set(pids) == {os.getpid()}
+        assert _run(_square, [], ParallelConfig(n_jobs=4)) == []
 
     def test_single_job_runs_in_process(self):
-        pids = parallel_map(_pid, range(4), config=ParallelConfig(n_jobs=1))
-        assert set(pids) == {os.getpid()}
+        # The wedge guard supervises workers; one job has none to watch.
+        for timeout_seconds in (None, 5.0):
+            config = ParallelConfig(n_jobs=1, timeout_seconds=timeout_seconds)
+            assert set(_run(_pid, range(4), config)) == {os.getpid()}
 
     def test_process_backend_uses_workers(self):
-        pids = parallel_map(_pid, range(8), config=ParallelConfig(n_jobs=2))
+        pids = _run(_pid, range(8), ParallelConfig(n_jobs=2))
         assert os.getpid() not in pids
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 4])
-    @pytest.mark.parametrize("chunk_size", [1, 3])
-    def test_results_preserve_task_order(self, n_jobs, chunk_size):
-        config = ParallelConfig(n_jobs=n_jobs, chunk_size=chunk_size)
-        assert parallel_map(_square, range(10), config=config) == [
-            x * x for x in range(10)
+    @pytest.mark.parametrize("tasks_per_job", [1, 3])
+    def test_results_preserve_task_order(self, n_jobs, tasks_per_job):
+        n_tasks = n_jobs * tasks_per_job
+        config = ParallelConfig(n_jobs=n_jobs)
+        assert _run(_square, range(n_tasks), config) == [
+            x * x for x in range(n_tasks)
         ]
 
     def test_imap_streams_in_order(self):
@@ -99,11 +95,11 @@ class TestParallelMap:
 
     def test_worker_exception_reraised_in_parent(self):
         with pytest.raises(ValueError, match="boom on 3"):
-            parallel_map(_explode_on_three, range(6), config=ParallelConfig(n_jobs=2))
+            _run(_explode_on_three, range(6), ParallelConfig(n_jobs=2))
 
     def test_worker_exception_raised_in_process_too(self):
         with pytest.raises(ValueError, match="boom on 3"):
-            parallel_map(_explode_on_three, range(6), config=ParallelConfig.serial())
+            _run(_explode_on_three, range(6), ParallelConfig(n_jobs=1))
 
     def test_abandoned_stream_does_not_hang(self):
         stream = parallel_imap(_square, range(50), config=ParallelConfig(n_jobs=2))

@@ -2,10 +2,10 @@
 
 Workers run their own observability session and ship spans + metric
 snapshots back with each result; the parent grafts and merges them in
-task order — the same replay discipline as telemetry events.  These
-tests hold the line: for every parallel entry point, the merged
-counters equal a serial run's counters exactly, and the span trees
-carry the same names in the same trial order.
+task order.  These tests hold the line for the harness, the one
+parallel entry point: the merged counters equal a serial run's
+counters exactly, and the span trees carry the same names in the same
+trial order.
 """
 
 import multiprocessing
@@ -15,12 +15,12 @@ import pytest
 
 from repro import observability
 from repro.baselines import make_fact_finder
-from repro.bounds import GibbsConfig, gibbs_bound
+from repro.bounds import GibbsConfig
 from repro.eval import run_simulation
 from repro.observability import validate_span_tree
 from repro.parallel import ParallelConfig
 from repro.resilience import FailurePolicy, InjectedFault, temporary_algorithm
-from repro.synthetic import GeneratorConfig, empirical_parameters, generate_dataset
+from repro.synthetic import GeneratorConfig
 
 N_JOBS = int(os.environ.get("REPRO_TEST_N_JOBS", "4"))
 
@@ -30,6 +30,15 @@ needs_fork = pytest.mark.skipif(
 )
 
 CONFIG = GeneratorConfig(n_sources=8, n_assertions=24, n_trees=(3, 4))
+
+#: An exact limit below ``CONFIG``'s n = 8, so every worker computes the
+#: "optimal" series with the Gibbs bound instead of exact enumeration.
+GIBBS_OPTIMAL = dict(
+    exact_limit=4,
+    bound_config=GibbsConfig(
+        burn_in=20, min_sweeps=100, max_sweeps=400, check_interval=50
+    ),
+)
 
 
 def _observed_run(fn):
@@ -49,36 +58,40 @@ def _span_names(span):
 
 class TestHarnessObservabilityParity:
     def test_counters_and_span_order_match_serial(self):
-        kwargs = dict(
-            algorithms=("em", "em-ext"),
-            n_trials=4,
-            seed=123,
-            include_optimal=True,
-        )
-        serial, serial_counters, serial_root = _observed_run(
-            lambda: run_simulation(CONFIG, **kwargs)
-        )
-        pooled, pooled_counters, pooled_root = _observed_run(
-            lambda: run_simulation(
-                CONFIG, parallel=ParallelConfig(n_jobs=N_JOBS), **kwargs
+        for bound_kwargs in ({}, GIBBS_OPTIMAL):
+            kwargs = dict(
+                algorithms=("em", "em-ext"),
+                n_trials=4,
+                seed=123,
+                include_optimal=True,
+                **bound_kwargs,
             )
-        )
-        in_process, inproc_counters, inproc_root = _observed_run(
-            lambda: run_simulation(
-                CONFIG, parallel=ParallelConfig.serial(), **kwargs
+            serial, serial_counters, serial_root = _observed_run(
+                lambda: run_simulation(CONFIG, **kwargs)
             )
-        )
-        assert serial_counters == pooled_counters == inproc_counters
-        assert serial_counters["harness.trials"] == 4
-        # Same span names in the same (trial) order: worker trees are
-        # grafted as the outcomes are consumed, which is trial order.
-        assert (
-            _span_names(serial_root)
-            == _span_names(pooled_root)
-            == _span_names(inproc_root)
-        )
-        for root in (serial_root, pooled_root, inproc_root):
-            assert validate_span_tree(root) == []
+            pooled, pooled_counters, pooled_root = _observed_run(
+                lambda: run_simulation(
+                    CONFIG, parallel=ParallelConfig(n_jobs=N_JOBS), **kwargs
+                )
+            )
+            in_process, inproc_counters, inproc_root = _observed_run(
+                lambda: run_simulation(
+                    CONFIG, parallel=ParallelConfig(n_jobs=1), **kwargs
+                )
+            )
+            assert serial_counters == pooled_counters == inproc_counters
+            assert serial_counters["harness.trials"] == 4
+            if bound_kwargs:
+                assert serial_counters["bounds.gibbs.sampler_runs"] == 4
+            # Same span names in the same (trial) order: worker trees are
+            # grafted as the outcomes are consumed, which is trial order.
+            assert (
+                _span_names(serial_root)
+                == _span_names(pooled_root)
+                == _span_names(inproc_root)
+            )
+            for root in (serial_root, pooled_root, inproc_root):
+                assert validate_span_tree(root) == []
 
     def test_disabled_parent_means_no_worker_collection(self):
         # No session in the parent -> the spec ships collect=False and
@@ -93,43 +106,6 @@ class TestHarnessObservabilityParity:
         )
         assert not observability.enabled()
         assert result.failures == []
-
-
-class TestGibbsObservabilityParity:
-    def test_sharded_bound_counters_match_serial(self):
-        dataset = generate_dataset(CONFIG, seed=21)
-        params = empirical_parameters(dataset.problem).clamp(1e-4)
-        dependency = dataset.problem.dependency.values
-        config = GibbsConfig(
-            burn_in=20, min_sweeps=100, max_sweeps=400, check_interval=50
-        )
-
-        def bound(parallel):
-            return gibbs_bound(
-                dependency, params, config=config, seed=9, parallel=parallel
-            )
-
-        # The column-sharded decomposition (any ParallelConfig) runs a
-        # different-but-equal set of samplers than the plain single
-        # sampler, so parity is asserted across sharded variants — the
-        # same contract as the serial-parity wall.
-        results, counter_sets, roots = zip(
-            *(
-                _observed_run(lambda p=parallel: bound(p))
-                for parallel in (
-                    ParallelConfig(n_jobs=1),
-                    ParallelConfig(n_jobs=N_JOBS),
-                    ParallelConfig.serial(),
-                )
-            )
-        )
-        for counters in counter_sets[1:]:
-            assert counters == counter_sets[0]
-        assert counter_sets[0]["kernels.gibbs.sweeps"] > 0
-        assert counter_sets[0]["bounds.gibbs.sampler_runs"] > 0
-        for root in roots:
-            assert validate_span_tree(root) == []
-        assert results[0].total == results[1].total == results[2].total
 
 
 class _FlakySeedFinder:

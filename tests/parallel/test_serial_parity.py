@@ -1,9 +1,10 @@
 """The serial-parity wall: parallel execution must be bit-for-bit serial.
 
-Every parallel entry point — the simulation harness and the sharded
-Gibbs bound — promises results that are
-*identical* (not just statistically equivalent) for any worker count.
-These tests hold the line with exact ``==`` comparisons on floats.
+The simulation harness, the library's one process fan-out, promises
+results that are *identical* (not just statistically equivalent) for
+any worker count — including the Gibbs bound each worker runs for the
+"optimal" series.  These tests hold the line with exact ``==``
+comparisons on floats.
 
 ``REPRO_TEST_N_JOBS`` overrides the non-trivial worker count (CI uses 2
 to match its runners; the default is 4).
@@ -15,11 +16,11 @@ import os
 import pytest
 
 from repro.baselines import make_fact_finder
-from repro.bounds import GibbsConfig, gibbs_bound
+from repro.bounds import GibbsConfig
 from repro.eval import run_simulation
 from repro.parallel import ParallelConfig
 from repro.resilience import FailurePolicy, InjectedFault, temporary_algorithm
-from repro.synthetic import GeneratorConfig, empirical_parameters, generate_dataset
+from repro.synthetic import GeneratorConfig
 
 N_JOBS = int(os.environ.get("REPRO_TEST_N_JOBS", "4"))
 
@@ -50,58 +51,39 @@ def _ledger(result):
     ]
 
 
+#: An exact limit below ``CONFIG``'s n = 8, so every worker computes the
+#: "optimal" series with the Gibbs bound instead of exact enumeration.
+GIBBS_OPTIMAL = dict(
+    exact_limit=4,
+    bound_config=GibbsConfig(
+        burn_in=20, min_sweeps=100, max_sweeps=400, check_interval=50
+    ),
+)
+
+
 class TestHarnessParity:
     def test_run_simulation_identical_for_any_worker_count(self):
-        kwargs = dict(
-            algorithms=("em", "em-ext"),
-            n_trials=4,
-            seed=123,
-            include_optimal=True,
-        )
-        serial = run_simulation(CONFIG, **kwargs)
-        pooled = run_simulation(
-            CONFIG, parallel=ParallelConfig(n_jobs=N_JOBS), **kwargs
-        )
-        in_process = run_simulation(
-            CONFIG, parallel=ParallelConfig.serial(), **kwargs
-        )
-        assert _series_dict(serial) == _series_dict(pooled) == _series_dict(in_process)
-        assert serial.failures == pooled.failures == []
-
-    def test_chunked_dispatch_is_still_identical(self):
-        kwargs = dict(
-            algorithms=("em",), n_trials=5, seed=31, include_optimal=False
-        )
-        serial = run_simulation(CONFIG, **kwargs)
-        chunked = run_simulation(
-            CONFIG, parallel=ParallelConfig(n_jobs=2, chunk_size=2), **kwargs
-        )
-        assert _series_dict(serial) == _series_dict(chunked)
-
-
-class TestGibbsParity:
-    def test_sharded_bound_invariant_to_worker_count(self):
-        dataset = generate_dataset(CONFIG, seed=21)
-        params = empirical_parameters(dataset.problem).clamp(1e-4)
-        dependency = dataset.problem.dependency.values
-        config = GibbsConfig(
-            burn_in=20, min_sweeps=100, max_sweeps=400, check_interval=50
-        )
-        results = [
-            gibbs_bound(dependency, params, config=config, seed=9, parallel=parallel)
-            for parallel in (
-                ParallelConfig(n_jobs=1),
-                ParallelConfig(n_jobs=N_JOBS),
-                ParallelConfig.serial(),
+        for bound_kwargs in ({}, GIBBS_OPTIMAL):
+            kwargs = dict(
+                algorithms=("em", "em-ext"),
+                n_trials=4,
+                seed=123,
+                include_optimal=True,
+                **bound_kwargs,
             )
-        ]
-        reference = results[0]
-        for other in results[1:]:
-            assert other.total == reference.total
-            assert other.false_positive == reference.false_positive
-            assert other.false_negative == reference.false_negative
-            assert other.n_samples == reference.n_samples
-        assert 0.0 <= reference.total <= 0.5
+            serial = run_simulation(CONFIG, **kwargs)
+            pooled = run_simulation(
+                CONFIG, parallel=ParallelConfig(n_jobs=N_JOBS), **kwargs
+            )
+            in_process = run_simulation(
+                CONFIG, parallel=ParallelConfig(n_jobs=1), **kwargs
+            )
+            assert (
+                _series_dict(serial)
+                == _series_dict(pooled)
+                == _series_dict(in_process)
+            )
+            assert serial.failures == pooled.failures == []
 
 
 class _FlakySeedFinder:
@@ -233,16 +215,20 @@ class TestSupervisedExecutorParity:
     """The heartbeat-supervised path must change *when*, never *what*."""
 
     def test_supervised_imap_matches_plain_results(self):
-        from repro.parallel import parallel_map
+        from repro.parallel import parallel_imap
 
         tasks = list(range(17))
-        plain = parallel_map(_square, tasks, config=ParallelConfig(n_jobs=N_JOBS))
-        supervised = parallel_map(
-            _square,
-            tasks,
-            config=ParallelConfig(
-                n_jobs=N_JOBS, timeout_seconds=120.0, max_resubmits=2
-            ),
+        plain = list(
+            parallel_imap(_square, tasks, config=ParallelConfig(n_jobs=N_JOBS))
+        )
+        supervised = list(
+            parallel_imap(
+                _square,
+                tasks,
+                config=ParallelConfig(
+                    n_jobs=N_JOBS, timeout_seconds=120.0, max_resubmits=2
+                ),
+            )
         )
         assert supervised == plain == [x * x for x in tasks]
 

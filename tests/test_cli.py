@@ -128,6 +128,13 @@ class TestBound:
         assert code == 2
         assert "truth" in capsys.readouterr().err
 
+    def test_n_jobs_is_not_an_option(self, problem_file, capsys):
+        # The Gibbs bound is one joint sampler; there is nothing to fan out.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bound", "--problem", str(problem_file), "--n-jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--n-jobs" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_outputs(self, tmp_path, capsys):
@@ -154,6 +161,24 @@ class TestExperiment:
     def test_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
+
+    @pytest.mark.parametrize(
+        "name", ["table1", "table3", "fig3", "fig4", "fig5", "fig6", "fig11"]
+    )
+    def test_n_jobs_rejected_without_trials(self, name, capsys):
+        assert main(["experiment", name, "--n-jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = captured.err
+        assert error.startswith("error:")
+        assert "fig7-fig10" in error and name in error
+
+    def test_n_jobs_help_names_the_trial_experiments(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["experiment", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "fig7-fig10" in help_text
+        assert "identical for any N" not in help_text
 
 
 class TestObservabilityFlags:
